@@ -17,21 +17,32 @@
 //!   the replayed [`TraceRecorder`] export passes the conformance
 //!   oracle — an *empirical race check on every run*, on top of Rust's
 //!   static guarantees.
+//! - An attempt's snapshot is the tick of its first recorded event —
+//!   `first(T)` in the exported trace — whether that event is a read,
+//!   a granted write or a blocked snapshot-level write (recorded at its
+//!   enqueue). A snapshot taken from a bare clock read instead would
+//!   miss a commit landing between that read and the first event.
 //! - First-committer-wins is pre-checked before locking (cheap early
-//!   abort) and **re-checked after the lock grant while holding the
-//!   object lock** — the authoritative test, since installs require
-//!   that lock. The sequential engine gets this for free from `&mut
-//!   self`; here the re-check closes the pre-check→grant window.
-//! - The whole commit sequence (stripe locks → tick → SSI decision →
-//!   install → admit) runs under one commit mutex, so the detectors see
-//!   one-at-a-time commits exactly as the sequential engine presents
-//!   them. The critical section is short (footprint comparison against
-//!   the GC-bounded committed set).
-//! - GC watermarks come from a registry of attempt begin ticks: workers
-//!   register the clock value *before* drawing any operation tick (and
-//!   the registry read and clock read are ordered through the registry
-//!   mutex), so a concurrent GC can never prune a version a justs
-//!   started attempt might still read.
+//!   abort, once a snapshot exists) and **re-checked after the lock
+//!   grant while holding the object lock** — the authoritative test,
+//!   since installs require that lock. The sequential engine gets this
+//!   for free from `&mut self`; here the re-check closes the
+//!   pre-check→grant window.
+//! - The commit mutex serializes exactly the commits a detector reads:
+//!   every commit in `SsiMode::Exact` (the exact check reads all
+//!   footprints), only SSI commits in `SsiMode::Conservative` (its
+//!   checks read SSI footprints alone). Under it the sequence stripe
+//!   locks → tick → SSI decision → install → admit runs one at a time,
+//!   as the sequential engine presents commits to its detectors. An
+//!   unguarded RC/SI commit runs stripe locks → tick → install →
+//!   release; the stripe locks alone give it its place in the
+//!   publication order, and no footprint is built for it.
+//! - GC watermarks come from per-worker begin slots: a worker stores the
+//!   clock in its slot *before* drawing any operation tick, and a GC
+//!   reads the clock before it scans the slots. A begin the scan missed
+//!   stored its slot after the scan, so every tick it draws lies above
+//!   the GC's clock read and thus at or above the horizon; no version a
+//!   live snapshot can read is pruned.
 
 use crate::config::{SimConfig, SsiMode};
 use crate::driver::{jobs_from_workload, Job};
@@ -47,7 +58,6 @@ use mvisolation::{Allocation, IsolationLevel};
 use mvmodel::{Object, OpKind, TransactionSet};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -117,7 +127,10 @@ impl Attempt {
         }
     }
 
+    /// Buffers an event. The first event's tick becomes the attempt's
+    /// snapshot (see the module docs).
     fn push_event(&mut self, ts: u64, ev: PEvent) {
+        self.start_ts.get_or_insert(ts);
         if self.record {
             self.events.push((ts, ev));
         }
@@ -155,18 +168,26 @@ struct WorkerOut {
     logs: Vec<AttemptLog>,
 }
 
+/// A worker's begin slot: the clock value at its in-flight attempt's
+/// begin, or [`IDLE`]. Aligned to its own cache lines so the workers'
+/// per-attempt stores do not contend.
+#[repr(align(128))]
+struct BeginSlot(AtomicU64);
+
+const IDLE: u64 = u64::MAX;
+
 struct ParEngine {
     config: SimConfig,
     clock: AtomicU64,
     store: SharedVersionStore,
     locks: SharedLockTable,
     ssi: SharedSsiTracker,
-    /// Serializes tick-draw → SSI decision → install → admit.
+    /// Serializes tick-draw → SSI decision → install → admit for the
+    /// commits a detector reads (see the module docs).
     commit_lock: Mutex<()>,
     next_attempt: AtomicU64,
-    /// Begin-tick registry for the GC watermark: clock value at attempt
-    /// begin → number of attempts begun there.
-    snaps: Mutex<BTreeMap<u64, u32>>,
+    /// One begin slot per worker, for the GC watermark.
+    begins: Vec<BeginSlot>,
     commits: AtomicU64,
     versions_pruned: AtomicU64,
 }
@@ -174,6 +195,9 @@ struct ParEngine {
 impl ParEngine {
     fn new(config: SimConfig) -> Self {
         ParEngine {
+            begins: (0..config.threads)
+                .map(|_| BeginSlot(AtomicU64::new(IDLE)))
+                .collect(),
             config,
             clock: AtomicU64::new(0),
             store: SharedVersionStore::new(),
@@ -181,7 +205,6 @@ impl ParEngine {
             ssi: SharedSsiTracker::new(),
             commit_lock: Mutex::new(()),
             next_attempt: AtomicU64::new(0),
-            snaps: Mutex::new(BTreeMap::new()),
             commits: AtomicU64::new(0),
             versions_pruned: AtomicU64::new(0),
         }
@@ -191,27 +214,17 @@ impl ParEngine {
         self.clock.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// Registers an attempt's begin tick so the GC watermark never
-    /// overtakes a snapshot the attempt may still draw. The clock read
-    /// happens under the registry mutex: either this registration is
-    /// visible to the next GC, or the GC's watermark read preceded this
-    /// clock read — and then every tick this attempt draws is at or
-    /// above the watermark. Either way no reachable version is pruned.
-    fn register_begin(&self) -> u64 {
-        let mut snaps = self.snaps.lock().expect("not poisoned");
-        let at = self.clock.load(Ordering::SeqCst);
-        *snaps.entry(at).or_insert(0) += 1;
-        at
+    /// Marks worker `w` busy from the current clock on, before its
+    /// attempt draws any tick, so the GC watermark never overtakes a
+    /// snapshot the attempt may still draw (see [`ParEngine::horizon`]).
+    fn begin(&self, w: usize) {
+        self.begins[w]
+            .0
+            .store(self.clock.load(Ordering::SeqCst), Ordering::SeqCst);
     }
 
-    fn unregister_begin(&self, at: u64) {
-        let mut snaps = self.snaps.lock().expect("not poisoned");
-        if let Some(n) = snaps.get_mut(&at) {
-            *n -= 1;
-            if *n == 0 {
-                snaps.remove(&at);
-            }
-        }
+    fn end(&self, w: usize) {
+        self.begins[w].0.store(IDLE, Ordering::SeqCst);
     }
 
     fn execute(
@@ -277,13 +290,11 @@ impl ParEngine {
         object: Object,
         metrics: &mut Metrics,
     ) -> Result<(), AbortReason> {
-        let start = *a
-            .start_ts
-            .get_or_insert_with(|| self.clock.load(Ordering::SeqCst));
         let snapshot_level = a.level.snapshot_at_start();
         // Advisory first-committer-wins pre-check: abort before paying
-        // for the lock when a newer version is already visible.
-        if snapshot_level && self.store.committed_after(object, start) {
+        // for the lock when a newer version is already visible. Before
+        // the first event there is no snapshot to be newer than.
+        if snapshot_level && self.committed_since_snapshot(a, object) {
             return Err(AbortReason::FirstCommitterWins);
         }
         match self.locks.acquire(a.id, object) {
@@ -308,8 +319,10 @@ impl ParEngine {
         // Authoritative first-committer-wins re-check *under the held
         // lock*: a competitor can commit between the pre-check and the
         // grant, but not while we hold the object lock (installs
-        // require it). Parallel-only requirement.
-        if snapshot_level && self.store.committed_after(object, start) {
+        // require it). Parallel-only requirement. A write-first attempt
+        // granted at once takes its snapshot from the tick drawn below,
+        // after every commit to `object`.
+        if snapshot_level && self.committed_since_snapshot(a, object) {
             return Err(AbortReason::FirstCommitterWins);
         }
         if a.recorded_pc == Some(pc) {
@@ -325,27 +338,36 @@ impl ParEngine {
         Ok(())
     }
 
+    fn committed_since_snapshot(&self, a: &Attempt, object: Object) -> bool {
+        a.start_ts
+            .is_some_and(|start| self.store.committed_after(object, start))
+    }
+
     fn commit(&self, a: &mut Attempt, metrics: &mut Metrics) -> Result<u64, AbortReason> {
-        let commit_guard = self.commit_lock.lock().expect("not poisoned");
+        let ssi = a.level == IsolationLevel::SerializableSnapshotIsolation;
+        // Only commits some detector reads take the commit mutex and
+        // leave a footprint: all of them for the exact check, SSI ones
+        // for the conservative checks.
+        let certify = ssi || self.config.ssi_mode == SsiMode::Exact;
+        let commit_guard = certify.then(|| self.commit_lock.lock().expect("not poisoned"));
         let mut guards = self.store.lock_for_commit(&a.writes);
         let commit_ts = self.tick();
-        let start_ts = a.start_ts.unwrap_or(commit_ts - 1);
-        let footprint = TxnFootprint {
+        let footprint = certify.then(|| TxnFootprint {
             attempt: a.id,
-            ssi: a.level == IsolationLevel::SerializableSnapshotIsolation,
-            start_ts,
+            ssi,
+            start_ts: a.start_ts.unwrap_or(commit_ts - 1),
             commit_ts,
             reads: a.reads.iter().map(|&(o, obs)| (o, obs.ts())).collect(),
             writes: a.writes.iter().map(|&o| (o, commit_ts)).collect(),
-        };
-        let dangerous = match self.config.ssi_mode {
-            SsiMode::Exact => self.ssi.exact_check(&footprint),
-            SsiMode::Conservative => footprint.ssi && self.conservative_commit_check(&footprint),
-        };
-        if dangerous {
-            drop(guards);
-            drop(commit_guard);
-            return Err(AbortReason::SsiDangerous);
+        });
+        if let Some(footprint) = &footprint {
+            let dangerous = match self.config.ssi_mode {
+                SsiMode::Exact => self.ssi.exact_check(footprint),
+                SsiMode::Conservative => self.conservative_commit_check(footprint),
+            };
+            if dangerous {
+                return Err(AbortReason::SsiDangerous);
+            }
         }
         for &object in &a.writes {
             #[cfg(debug_assertions)]
@@ -359,12 +381,14 @@ impl ParEngine {
             );
         }
         drop(guards);
-        self.ssi.admit(footprint);
+        if let Some(footprint) = footprint {
+            self.ssi.admit(footprint);
+        }
+        drop(commit_guard);
         self.locks.release_all(a.id, &a.held);
         metrics.record_commit(a.level);
         a.push_event(commit_ts, PEvent::Commit);
         self.maybe_gc();
-        drop(commit_guard);
         Ok(commit_ts)
     }
 
@@ -405,17 +429,25 @@ impl ParEngine {
 
     fn maybe_gc(&self) {
         let commits = self.commits.fetch_add(1, Ordering::SeqCst) + 1;
-        if !commits.is_multiple_of(64) {
-            return;
+        if commits.is_multiple_of(64) {
+            self.gc();
         }
-        let horizon = {
-            let snaps = self.snaps.lock().expect("not poisoned");
-            snaps
-                .keys()
-                .next()
-                .copied()
-                .unwrap_or_else(|| self.clock.load(Ordering::SeqCst))
-        };
+    }
+
+    /// The GC watermark: the clock, read *first*, capped by every
+    /// occupied begin slot. A slot store the scan misses is ordered
+    /// after the scan, so that attempt's ticks all exceed the clock
+    /// read; a slot it sees is at or below all of its attempt's ticks.
+    fn horizon(&self) -> u64 {
+        let clock = self.clock.load(Ordering::SeqCst);
+        self.begins
+            .iter()
+            .map(|slot| slot.0.load(Ordering::SeqCst))
+            .fold(clock, u64::min)
+    }
+
+    fn gc(&self) {
+        let horizon = self.horizon();
         self.ssi.gc(horizon);
         self.versions_pruned
             .fetch_add(self.store.gc(horizon), Ordering::SeqCst);
@@ -449,12 +481,12 @@ impl ParEngine {
             let mut retries = 0u32;
             loop {
                 let id = AttemptId(self.next_attempt.fetch_add(1, Ordering::SeqCst) + 1);
-                let begin = self.register_begin();
+                self.begin(w);
                 let mut a = Attempt::new(id, job.level, self.config.record_trace);
                 let result = self.execute(&mut a, &job.ops, &mut out.metrics, &mut jitter);
                 match result {
                     Ok(ct) => {
-                        self.unregister_begin(begin);
+                        self.end(w);
                         let ticks = ct.saturating_sub(first_begin);
                         out.latency.record(ticks);
                         out.latency_by_level[level_index(job.level)].record(ticks);
@@ -470,7 +502,7 @@ impl ParEngine {
                     }
                     Err(reason) => {
                         self.abort_attempt(&a);
-                        self.unregister_begin(begin);
+                        self.end(w);
                         out.metrics.record_abort(reason, job.level);
                         if self.config.record_trace {
                             out.logs.push(AttemptLog {
@@ -605,4 +637,163 @@ pub fn run_parallel_workload_with(
     let mut run = run_parallel_jobs_with(&jobs, config, opts);
     run.trace.set_object_names(txns.object_names().to_vec());
     run
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+
+    fn engine(threads: usize) -> ParEngine {
+        ParEngine::new(SimConfig::default().with_threads(threads).with_trace(true))
+    }
+
+    fn first_tick(a: &Attempt) -> u64 {
+        a.events.first().expect("an event was recorded").0
+    }
+
+    #[test]
+    fn snapshot_is_the_tick_of_the_first_recorded_event() {
+        let e = engine(2);
+        let mut m = Metrics::default();
+        let mut id = 0;
+        let mut next = |level| {
+            id += 1;
+            Attempt::new(AttemptId(id), level, true)
+        };
+        for level in [
+            IsolationLevel::RC,
+            IsolationLevel::SI,
+            IsolationLevel::SerializableSnapshotIsolation,
+        ] {
+            let mut r = next(level);
+            e.read(&mut r, Object(1), &mut m);
+            assert_eq!(r.start_ts, Some(first_tick(&r)), "read first, {level:?}");
+
+            let mut w = next(level);
+            e.write(&mut w, 0, Object(2), &mut m).expect("granted");
+            assert_eq!(w.start_ts, Some(first_tick(&w)), "granted write, {level:?}");
+            e.abort_attempt(&w);
+
+            // Enqueued write: a holder keeps the lock until the waiter
+            // has blocked, and a tick is drawn while it waits. Snapshot
+            // levels record the write at its enqueue, below that tick;
+            // RC records it after the grant, above it.
+            let mut holder = next(level);
+            e.write(&mut holder, 0, Object(3), &mut m).expect("granted");
+            let mut waiter = next(level);
+            let waiter_id = waiter.id;
+            let mut during_wait = 0;
+            std::thread::scope(|sc| {
+                let blocked = sc.spawn(|| {
+                    e.write(&mut waiter, 0, Object(3), &mut m)
+                        .expect("holder aborts, no first-committer conflict");
+                });
+                while e.locks.waits_for(waiter_id).is_none() {
+                    std::thread::yield_now();
+                }
+                during_wait = e.tick();
+                e.abort_attempt(&holder);
+                blocked.join().expect("waiter granted");
+            });
+            let start = waiter.start_ts.expect("snapshot taken");
+            assert_eq!(start, first_tick(&waiter), "enqueued write, {level:?}");
+            assert_eq!(
+                start < during_wait,
+                level.snapshot_at_start(),
+                "{level:?} write recorded at the wrong point"
+            );
+            e.abort_attempt(&waiter);
+        }
+    }
+
+    #[test]
+    fn horizon_is_at_most_the_clock_and_every_occupied_slot() {
+        let e = engine(3);
+        let advance = |n| {
+            for _ in 0..n {
+                e.tick();
+            }
+        };
+        advance(10);
+        assert_eq!(e.horizon(), 10, "all idle: the clock");
+        e.begin(1);
+        advance(5);
+        e.begin(2);
+        advance(5);
+        assert_eq!(e.horizon(), 10, "the oldest occupied slot");
+        e.end(1);
+        assert_eq!(e.horizon(), 15);
+        e.end(2);
+        assert_eq!(e.horizon(), 20);
+    }
+
+    #[test]
+    fn a_begin_racing_gc_never_reads_a_pruned_version() {
+        let e = engine(1);
+        let x = Object(7);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|sc| {
+            // Blind RC writers commit `x` back to back, until some GC
+            // pass has pruned. They read nothing, so they hold no begin
+            // slot and never cap the horizon.
+            sc.spawn(|| {
+                let mut m = Metrics::default();
+                let mut n = 0;
+                while n < 4000 || (e.versions_pruned.load(Ordering::SeqCst) == 0 && n < 1 << 20) {
+                    n += 1;
+                    let mut a = Attempt::new(AttemptId((1 << 32) + n), IsolationLevel::RC, false);
+                    e.write(&mut a, 0, x, &mut m).expect("sole writer");
+                    e.commit(&mut a, &mut m).expect("RC commits");
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            // A collector runs GC passes while commits and begins race it.
+            sc.spawn(|| {
+                while !done.load(Ordering::SeqCst) {
+                    e.gc();
+                }
+            });
+            // SI readers in worker slot 0 re-read `x` at their snapshot;
+            // a pruned snapshot version would read back as something else.
+            let mut m = Metrics::default();
+            let mut n = 0;
+            while !done.load(Ordering::SeqCst) {
+                n += 1;
+                e.begin(0);
+                let mut a = Attempt::new(AttemptId(n), IsolationLevel::SI, false);
+                e.read(&mut a, x, &mut m);
+                std::thread::yield_now();
+                e.read(&mut a, x, &mut m);
+                assert_eq!(a.reads[0].1, a.reads[1].1, "snapshot version pruned");
+                e.end(0);
+                // Idle between attempts, so GC scans also find the
+                // slot empty and race the next begin.
+                std::thread::yield_now();
+            }
+        });
+        assert!(e.versions_pruned.load(Ordering::SeqCst) > 0);
+    }
+
+    #[test]
+    fn only_commits_a_detector_reads_leave_footprints() {
+        for (mode, footprints) in [(SsiMode::Conservative, 1), (SsiMode::Exact, 3)] {
+            let e = ParEngine::new(SimConfig::default().with_ssi_mode(mode));
+            let mut m = Metrics::default();
+            for (n, level) in [
+                IsolationLevel::RC,
+                IsolationLevel::SI,
+                IsolationLevel::SerializableSnapshotIsolation,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let mut a = Attempt::new(AttemptId(n as u64 + 1), level, false);
+                e.write(&mut a, 0, Object(n as u32), &mut m)
+                    .expect("granted");
+                e.commit(&mut a, &mut m).expect("no conflicts");
+            }
+            assert_eq!(e.ssi.retained(), footprints, "{mode:?}");
+        }
+    }
 }

@@ -2,13 +2,25 @@
 //! detection, for the parallel engine.
 //!
 //! Lock state lives in shards (mutex + condvar per shard) so disjoint
-//! partitions never contend, but the waits-for graph is global: a cycle
-//! can thread through objects in different shards, so the cycle test
-//! must see one consistent picture. Every enqueue/grant/release updates
-//! the graph atomically with the shard state (lock order is always
-//! shard → graph, and no thread ever holds two shard locks), which rules
-//! out the race where two attempts concurrently block on each other and
-//! neither sees the half-formed cycle.
+//! partitions never contend. The waits-for graph is global — a cycle can
+//! thread through objects in different shards, so the cycle test must
+//! see one consistent picture — but it is touched only when a request
+//! *blocks*: an uncontended grant or release stays inside its shard.
+//!
+//! The graph holds one waiter → holder edge per blocked attempt (an
+//! attempt waits on at most one object). Edges change only in two
+//! places, both under the object's shard lock and then the graph mutex
+//! (lock order shard → graph; no thread ever holds two shard locks):
+//!
+//! - an enqueue runs the cycle test and adds `waiter → holder`
+//!   atomically, which rules out the race where two attempts
+//!   concurrently block on each other and neither sees the half-formed
+//!   cycle;
+//! - a handoff to the first waiter removes the new holder's edge and
+//!   re-points every remaining waiter at it.
+//!
+//! A lock without waiters has no edges pointing at its holder, so
+//! granting or freeing it needs no graph update.
 //!
 //! Victim policy matches the sequential [`crate::locks::LockTable`]:
 //! *die-self* — the requester whose enqueue would close a cycle is
@@ -52,12 +64,11 @@ struct Shard {
     locks: HashMap<Object, LockState>,
 }
 
-/// The global waits-for graph: `waiting_on` edges plus a holder map, so
-/// the cycle walk never touches shard state.
+/// The global waits-for graph: blocked attempt → the holder it waits
+/// behind, so the cycle walk never touches shard state.
 #[derive(Default)]
 struct WaitGraph {
-    waiting_on: HashMap<AttemptId, Object>,
-    holder: HashMap<Object, AttemptId>,
+    waits_for: HashMap<AttemptId, AttemptId>,
 }
 
 impl WaitGraph {
@@ -70,15 +81,12 @@ impl WaitGraph {
             if from == to {
                 return true;
             }
-            let Some(object) = self.waiting_on.get(&from) else {
-                return false;
-            };
-            let Some(&holder) = self.holder.get(object) else {
+            let Some(&holder) = self.waits_for.get(&from) else {
                 return false;
             };
             from = holder;
             steps += 1;
-            if steps > self.waiting_on.len() + 1 {
+            if steps > self.waits_for.len() {
                 return false;
             }
         }
@@ -104,9 +112,10 @@ impl SharedLockTable {
 
     /// Requests the exclusive lock on `object` for `who`. Never blocks:
     /// on [`ParLockOutcome::Enqueued`] the caller parks in
-    /// [`SharedLockTable::await_grant`]. The cycle test and the enqueue
-    /// are atomic under the graph mutex, so concurrent blockers cannot
-    /// slip an undetected cycle past each other.
+    /// [`SharedLockTable::await_grant`]. Only a request that would block
+    /// takes the graph mutex; there the cycle test and the enqueue are
+    /// atomic, so concurrent blockers cannot slip an undetected cycle
+    /// past each other.
     pub fn acquire(&self, who: AttemptId, object: Object) -> ParLockOutcome {
         let (shard, _) = &self.shards[shard_of(object)];
         let mut s = shard.lock().expect("not poisoned");
@@ -114,11 +123,6 @@ impl SharedLockTable {
         match state.holder {
             None => {
                 state.holder = Some(who);
-                self.graph
-                    .lock()
-                    .expect("not poisoned")
-                    .holder
-                    .insert(object, who);
                 ParLockOutcome::Granted
             }
             Some(h) if h == who => ParLockOutcome::Granted,
@@ -127,7 +131,7 @@ impl SharedLockTable {
                 if g.path_to(h, who) {
                     return ParLockOutcome::Deadlock;
                 }
-                g.waiting_on.insert(who, object);
+                g.waits_for.insert(who, h);
                 drop(g);
                 if !state.waiters.contains(&who) {
                     state.waiters.push_back(who);
@@ -150,24 +154,23 @@ impl SharedLockTable {
     /// Releases every lock in `held` (commit or abort), handing each to
     /// its first waiter (FIFO) and signalling that shard. `held` is the
     /// caller's thread-local held list — the parallel analogue of the
-    /// sequential table's `held` map.
+    /// sequential table's `held` map. A lock nobody waits for is freed
+    /// inside its shard alone.
     pub fn release_all(&self, who: AttemptId, held: &[Object]) {
         for &object in held {
             let (shard, cv) = &self.shards[shard_of(object)];
             let mut s = shard.lock().expect("not poisoned");
             let state = s.locks.get_mut(&object).expect("held lock exists");
             debug_assert_eq!(state.holder, Some(who));
+            let Some(next) = state.waiters.pop_front() else {
+                state.holder = None;
+                continue;
+            };
+            state.holder = Some(next);
             let mut g = self.graph.lock().expect("not poisoned");
-            match state.waiters.pop_front() {
-                Some(next) => {
-                    state.holder = Some(next);
-                    g.holder.insert(object, next);
-                    g.waiting_on.remove(&next);
-                }
-                None => {
-                    state.holder = None;
-                    g.holder.remove(&object);
-                }
+            g.waits_for.remove(&next);
+            for &w in &state.waiters {
+                g.waits_for.insert(w, next);
             }
             drop(g);
             drop(s);
@@ -186,6 +189,23 @@ impl SharedLockTable {
             .locks
             .get(&object)
             .is_some_and(|s| s.holder == Some(who))
+    }
+
+    /// The holder `who` is recorded as waiting behind, if any.
+    #[cfg(test)]
+    pub fn waits_for(&self, who: AttemptId) -> Option<AttemptId> {
+        self.graph
+            .lock()
+            .expect("not poisoned")
+            .waits_for
+            .get(&who)
+            .copied()
+    }
+
+    /// Number of waits-for edges.
+    #[cfg(test)]
+    fn graph_edges(&self) -> usize {
+        self.graph.lock().expect("not poisoned").waits_for.len()
     }
 }
 
@@ -267,5 +287,60 @@ mod tests {
         assert_eq!(lt.acquire(a(2), o(2)), ParLockOutcome::Enqueued);
         // And a3 → o(1) now waits on a2: a genuine 2-cycle, detected.
         assert_eq!(lt.acquire(a(3), o(1)), ParLockOutcome::Deadlock);
+    }
+
+    #[test]
+    fn uncontended_acquire_and_release_leave_the_graph_empty() {
+        let lt = SharedLockTable::new();
+        for n in 0..8 {
+            assert_eq!(lt.acquire(a(1), o(n)), ParLockOutcome::Granted);
+        }
+        assert_eq!(lt.acquire(a(1), o(3)), ParLockOutcome::Granted);
+        assert_eq!(lt.graph_edges(), 0, "grants without waiters add no edge");
+        lt.release_all(a(1), &(0..8).map(o).collect::<Vec<_>>());
+        assert_eq!(lt.graph_edges(), 0);
+        assert_eq!(lt.acquire(a(2), o(3)), ParLockOutcome::Granted);
+        assert_eq!(lt.graph_edges(), 0, "a freed lock is re-granted in-shard");
+    }
+
+    #[test]
+    fn handoff_repoints_remaining_waiters_at_the_new_holder() {
+        let lt = SharedLockTable::new();
+        assert_eq!(lt.acquire(a(1), o(5)), ParLockOutcome::Granted);
+        for w in 2..=4 {
+            assert_eq!(lt.acquire(a(w), o(5)), ParLockOutcome::Enqueued);
+            assert_eq!(lt.waits_for(a(w)), Some(a(1)));
+        }
+        lt.release_all(a(1), &[o(5)]);
+        #[cfg(debug_assertions)]
+        assert!(lt.holds(a(2), o(5)), "FIFO handoff to the first waiter");
+        assert_eq!(lt.waits_for(a(2)), None, "the new holder waits no more");
+        assert_eq!(lt.waits_for(a(3)), Some(a(2)));
+        assert_eq!(lt.waits_for(a(4)), Some(a(2)));
+        assert_eq!(lt.graph_edges(), 2);
+        lt.release_all(a(2), &[o(5)]);
+        assert_eq!(lt.waits_for(a(4)), Some(a(3)));
+        lt.release_all(a(3), &[o(5)]);
+        lt.release_all(a(4), &[o(5)]);
+        assert_eq!(lt.graph_edges(), 0);
+    }
+
+    #[test]
+    fn cycle_through_the_new_holder_is_detected() {
+        let lt = SharedLockTable::new();
+        assert_eq!(lt.acquire(a(1), o(1)), ParLockOutcome::Granted);
+        assert_eq!(lt.acquire(a(3), o(3)), ParLockOutcome::Granted);
+        assert_eq!(lt.acquire(a(4), o(2)), ParLockOutcome::Granted);
+        assert_eq!(lt.acquire(a(2), o(1)), ParLockOutcome::Enqueued);
+        assert_eq!(lt.acquire(a(3), o(1)), ParLockOutcome::Enqueued);
+        // Handoff: a2 holds o(1), a3 now waits behind a2.
+        lt.release_all(a(1), &[o(1)]);
+        assert_eq!(lt.acquire(a(2), o(2)), ParLockOutcome::Enqueued);
+        // a4 → a2 → a4 closes through the new holder.
+        assert_eq!(lt.acquire(a(4), o(1)), ParLockOutcome::Deadlock);
+        // a4 → a3 → a2 → a4 closes only through the re-pointed edge
+        // a3 → a2; the stale a3 → a1 would have hidden it.
+        assert_eq!(lt.acquire(a(4), o(3)), ParLockOutcome::Deadlock);
+        assert_eq!(lt.graph_edges(), 2, "victims add no edge");
     }
 }

@@ -1,11 +1,15 @@
 //! Concurrent SSI tracker for the parallel engine.
 //!
-//! Committed footprints live behind one mutex — the commit path is
-//! already serialized by the engine's commit lock, so that mutex is
-//! uncontended in practice. The Cahill `inConflict`/`outConflict` flags
-//! are atomics behind a read-mostly map, so the *read path* can record
-//! rw-antidependency edges (reader observed a version a committed SSI
-//! transaction overwrote) without blocking committers.
+//! Committed footprints live behind one mutex. Only the commits a
+//! detector reads leave a footprint — every commit in exact mode, SSI
+//! commits alone in conservative mode, whose checks skip non-SSI
+//! footprints — and the engine checks and admits those one at a time
+//! under its commit lock, so the set is stable for each check. RC/SI
+//! commits in conservative mode never reach this tracker. The Cahill
+//! `inConflict`/`outConflict` flags are atomics behind a read-mostly
+//! map, so the *read path* can record rw-antidependency edges (reader
+//! observed a version a committed SSI transaction overwrote) without
+//! blocking committers.
 //!
 //! The parallel conservative commit check runs steps (1) and (3) of the
 //! sequential protocol (edges with committed footprints + own flags)
