@@ -5,8 +5,8 @@
 //! cargo run --release -p mvbench --bin sweep_conns [--json BENCH_alg.json] [--smoke]
 //! ```
 //!
-//! Each cell boots an in-process [`mvservice::Server`] (event-loop or
-//! thread-per-connection core), opens a fleet of N concurrent
+//! Each cell boots an in-process [`mvservice::Server`] (its one
+//! event-loop socket core), opens a fleet of N concurrent
 //! connections, and drives a bounded in-flight window of them
 //! closed-loop with `assign` reads over a small pre-registered
 //! transaction pool (registered untimed at setup). Reads are O(1) in
@@ -15,7 +15,7 @@
 //! the engine). Connections outside the window stay open but idle —
 //! the realistic c10k shape: the server's poll set carries every
 //! connection while a fixed offered load flows through it, so
-//! events/sec compares core efficiency and p99 isolates the
+//! events/sec compares codec efficiency and p99 isolates the
 //! per-connection cost of fleet size.
 //!
 //! The `pipeline` column is the batch-drain lever: how many requests
@@ -33,13 +33,13 @@
 //! Reported per row: aggregate events/sec and the log₂-bucketed p99
 //! per-request latency (µs, bucket upper bound — same bucketing as
 //! [`mvservice::Metrics`]). `--smoke` runs the event core at 1k/10k
-//! connections on both codecs plus the threaded baseline, and *fails*
+//! connections on both codecs, and *fails*
 //! (exit 1, with the reproducing command) when the binary codec does
 //! not beat line-JSON on events/sec at 1k connections, or when the
 //! 10k-connection p99 regresses more than 2× over 1k on either codec —
 //! the CI gate.
 
-use mvservice::{encode_payload, Client, CodecKind, Config, CoreKind, FrameBuf, Payload, Server};
+use mvservice::{encode_payload, Client, CodecKind, Config, FrameBuf, Payload, Server};
 use serde_json::{json, Value};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -57,7 +57,6 @@ const WINDOW: usize = 1024;
 /// so the smoke gates compare codecs rather than runs.
 const TRIALS: usize = 3;
 
-#[cfg(unix)]
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let smoke = argv.iter().any(|a| a == "--smoke");
@@ -77,41 +76,36 @@ fn main() {
         eprintln!("nofile limit {limit}: fleets capped at {fit} connections");
     }
 
-    // (core, conns, pipeline depth) — both codecs are measured inside
-    // one pair run, alternating trials in time, so the line/binary
+    // (conns, pipeline depth) — both codecs are measured inside one
+    // pair run, alternating trials in time, so the line/binary
     // comparison never straddles a shift in background machine load.
-    let mut plan: Vec<(CoreKind, usize, usize)> = Vec::new();
+    let mut plan: Vec<(usize, usize)> = Vec::new();
     if smoke {
-        plan.push((CoreKind::Event, 1_000, 1));
-        plan.push((CoreKind::Event, 10_000, 1));
-        plan.push((CoreKind::Threaded, 1_000, 1));
+        plan.push((1_000, 1));
+        plan.push((10_000, 1));
     } else {
         for conns in [100, 1_000, 10_000] {
             for pipeline in [1, 16] {
-                plan.push((CoreKind::Event, conns, pipeline));
+                plan.push((conns, pipeline));
             }
-        }
-        for conns in [100, 1_000] {
-            plan.push((CoreKind::Threaded, conns, 1));
         }
     }
 
     let events = if smoke { 50_000usize } else { 150_000usize };
 
-    println!("## B14 — connection scaling: event loop vs threads, line vs binary\n");
+    println!("## B14 — connection scaling: event loop, line vs binary\n");
     println!("| core | codec | conns | pipeline | events | events/s | p99 (µs, log2 bucket) |");
     println!("|---|---|---|---|---|---|---|");
 
     let mut cells: Vec<Cell> = Vec::new();
-    for (core, want, pipeline) in plan {
+    for (want, pipeline) in plan {
         let conns = want.min(fit);
         if conns < want {
             eprintln!("(scaled {want}-connection cell down to {conns})");
         }
-        for cell in run_pair(core, conns, pipeline, events) {
+        for cell in run_pair(conns, pipeline, events) {
             println!(
-                "| {} | {} | {} | {} | {} | {:.0} | {} |",
-                cell.core.as_str(),
+                "| event | {} | {} | {} | {} | {:.0} | {} |",
                 cell.codec.as_str(),
                 cell.conns,
                 cell.pipeline,
@@ -123,35 +117,18 @@ fn main() {
         }
     }
 
-    let find = |core: CoreKind, codec: CodecKind, conns: usize| {
+    let find = |codec: CodecKind, conns: usize| {
         cells
             .iter()
-            .find(|c| c.core == core && c.codec == codec && c.conns == conns && c.pipeline == 1)
+            .find(|c| c.codec == codec && c.conns == conns && c.pipeline == 1)
     };
-
-    // Context line for the acceptance story: the event loop at its
-    // biggest fleet vs the thread-per-connection baseline at 1k.
-    let big = fit.min(10_000);
-    if let (Some(event_big), Some(threaded_1k)) = (
-        find(CoreKind::Event, CodecKind::Frame, big),
-        find(CoreKind::Threaded, CodecKind::Line, 1_000.min(fit)),
-    ) {
-        println!(
-            "\nevent@{} {:.0} ev/s vs threaded@{} {:.0} ev/s ({:.2}×)",
-            event_big.conns,
-            event_big.events_per_s,
-            threaded_1k.conns,
-            threaded_1k.events_per_s,
-            event_big.events_per_s / threaded_1k.events_per_s
-        );
-    }
 
     let mut failures: Vec<String> = Vec::new();
     if smoke {
         let c1 = 1_000.min(fit);
         let c10 = 10_000.min(fit);
-        let line_1k = find(CoreKind::Event, CodecKind::Line, c1).expect("1k line cell");
-        let frame_1k = find(CoreKind::Event, CodecKind::Frame, c1).expect("1k frame cell");
+        let line_1k = find(CodecKind::Line, c1).expect("1k line cell");
+        let frame_1k = find(CodecKind::Frame, c1).expect("1k frame cell");
         if frame_1k.events_per_s <= line_1k.events_per_s {
             failures.push(format!(
                 "binary codec {:.0} ev/s ≤ line-JSON {:.0} ev/s at {c1} connections",
@@ -159,8 +136,8 @@ fn main() {
             ));
         }
         for codec in [CodecKind::Line, CodecKind::Frame] {
-            let small = find(CoreKind::Event, codec, c1).expect("1k cell");
-            let large = find(CoreKind::Event, codec, c10).expect("10k cell");
+            let small = find(codec, c1).expect("1k cell");
+            let large = find(codec, c10).expect("10k cell");
             if large.p99_us > 2 * small.p99_us {
                 failures.push(format!(
                     "{} codec p99 {}µs at {c10} connections > 2× {}µs at {c1}",
@@ -182,7 +159,7 @@ fn main() {
             .iter()
             .map(|c| {
                 json!({
-                    "core": c.core.as_str(),
+                    "core": "event",
                     "codec": c.codec.as_str(),
                     "conns": c.conns as u64,
                     "pipeline": c.pipeline as u64,
@@ -223,14 +200,7 @@ fn main() {
     }
 }
 
-#[cfg(not(unix))]
-fn main() {
-    eprintln!("sweep_conns needs raw-fd readiness polling (unix only); skipping");
-}
-
-#[cfg(unix)]
 struct Cell {
-    core: CoreKind,
     codec: CodecKind,
     conns: usize,
     pipeline: usize,
@@ -241,7 +211,6 @@ struct Cell {
 
 /// One bench connection: a nonblocking socket plus its reply framing,
 /// write backlog, and in-order timestamps of in-flight requests.
-#[cfg(unix)]
 struct BenchConn {
     stream: TcpStream,
     fb: FrameBuf,
@@ -252,7 +221,6 @@ struct BenchConn {
     next_txn: u32,
 }
 
-#[cfg(unix)]
 impl BenchConn {
     /// Queues one assign request and starts its latency clock.
     fn send_assign(&mut self, codec: CodecKind) {
@@ -279,7 +247,7 @@ impl BenchConn {
     }
 }
 
-/// Boots one server with the given core, pre-registers the read pool,
+/// Boots one server, pre-registers the read pool,
 /// then measures BOTH codecs over `conns` connections in alternating
 /// trials (line, binary, line, binary, …). Each trial opens a fresh
 /// fleet, warms it up untimed, runs `events` assigns through a
@@ -289,11 +257,9 @@ impl BenchConn {
 /// line/binary comparison inside the same seconds of machine time, so
 /// background-load drift hits both codecs instead of whichever cell
 /// ran during the slow patch. Returns `[line, binary]` cells.
-#[cfg(unix)]
-fn run_pair(core: CoreKind, conns: usize, pipeline: usize, events: usize) -> [Cell; 2] {
+fn run_pair(conns: usize, pipeline: usize, events: usize) -> [Cell; 2] {
     let server = Server::bind(Config {
         addr: "127.0.0.1:0".to_string(),
-        core,
         ..Config::default()
     })
     .expect("bind bench server");
@@ -328,9 +294,9 @@ fn run_pair(core: CoreKind, conns: usize, pipeline: usize, events: usize) -> [Ce
             if best[slot].is_none_or(|(r, _)| rate > r) {
                 best[slot] = Some((rate, p99));
             }
-            // Teardown order matters for the threaded core: dropping
-            // the fleet EOFs every reader thread, freeing its fds
-            // before the next fleet connects.
+            // Close the fleet before the next one connects: the
+            // server reaps each EOF'd connection, freeing its fds
+            // (`wait_drained` waits for that).
             drop(fleet);
         }
     }
@@ -342,7 +308,6 @@ fn run_pair(core: CoreKind, conns: usize, pipeline: usize, events: usize) -> [Ce
         let slot = usize::from(codec == CodecKind::Frame);
         let (events_per_s, p99_us) = best[slot].expect("at least one trial ran");
         Cell {
-            core,
             codec,
             conns,
             pipeline,
@@ -356,7 +321,6 @@ fn run_pair(core: CoreKind, conns: usize, pipeline: usize, events: usize) -> [Ce
 /// Opens `conns` connections speaking `codec`. Connects are blocking
 /// (loopback: cheap) with a retry on transient accept-queue overflow;
 /// sockets go nonblocking once connected.
-#[cfg(unix)]
 fn connect_fleet(addr: std::net::SocketAddr, conns: usize, codec: CodecKind) -> Vec<BenchConn> {
     let mut fleet: Vec<BenchConn> = Vec::with_capacity(conns);
     for i in 0..conns {
@@ -391,7 +355,6 @@ fn connect_fleet(addr: std::net::SocketAddr, conns: usize, codec: CodecKind) -> 
 /// Blocks until the server has reaped every connection from the
 /// previous fleet (its fd budget is half the process limit), giving up
 /// after 10s — a straggler or two won't sink the next trial.
-#[cfg(unix)]
 fn wait_drained(handle: &mvservice::ServerHandle) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while handle.metrics_json()["connections"]["open"] != 0u64 && Instant::now() < deadline {
@@ -402,7 +365,6 @@ fn wait_drained(handle: &mvservice::ServerHandle) {
 /// Issues exactly `events` assigns through the window and waits for
 /// every reply, recording latencies into `hist` when present. Returns
 /// the elapsed wall time.
-#[cfg(unix)]
 fn drive(
     fleet: &mut [BenchConn],
     window: usize,
@@ -501,7 +463,6 @@ fn drive(
 
 /// The log₂ bucket's upper bound at the 99th percentile, mirroring
 /// `Metrics` (bucket 0 holds the sub-µs durations and reports 0).
-#[cfg(unix)]
 fn p99_us(hist: &[u64; 64]) -> u64 {
     let total: u64 = hist.iter().sum();
     let rank = ((total as f64) * 0.99).ceil() as u64;

@@ -15,8 +15,7 @@ pub struct Parsed {
     flags: Vec<String>,
 }
 
-/// Options that take a value; everything else starting with `--` is a
-/// boolean flag.
+/// Options that take a value.
 const VALUED: &[&str] = &[
     "addr",
     "alloc",
@@ -24,7 +23,6 @@ const VALUED: &[&str] = &[
     "batch-delay-us",
     "batch-max",
     "codec",
-    "core",
     "data-dir",
     "durability",
     "fault-plan",
@@ -39,6 +37,17 @@ const VALUED: &[&str] = &[
     "ssi-mode",
     "tenant",
     "threads",
+];
+
+/// Boolean flags. Any other `--name` is a usage error, so a typo such
+/// as `--no-component` fails instead of being silently ignored.
+const FLAGS: &[&str] = &[
+    "allocate",
+    "dot",
+    "explain",
+    "json",
+    "no-components",
+    "optimal",
 ];
 
 impl Parsed {
@@ -60,6 +69,8 @@ impl Parsed {
                             .clone(),
                     };
                     out.options.insert(name.to_string(), value);
+                } else if !FLAGS.contains(&name) {
+                    return Err(format!("unknown option `--{name}`"));
                 } else if inline.is_some() {
                     return Err(format!("--{name} does not take a value"));
                 } else {
@@ -194,6 +205,10 @@ mod tests {
         assert!(e.contains("requires a value"));
         let e = Parsed::parse(&["--json=1".to_string()]).unwrap_err();
         assert!(e.contains("does not take a value"));
+        for typo in ["--jsonn", "--no-component", "--frobnicate", "--core"] {
+            let e = Parsed::parse(&[typo.to_string()]).unwrap_err();
+            assert_eq!(e, format!("unknown option `{typo}`"));
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub enum LevelSet {
 impl LevelSet {
     pub const ALL: [LevelSet; 2] = [LevelSet::RcSi, LevelSet::RcSiSsi];
 
-    /// The canonical spelling, accepted by [`LevelSet::from_str`].
+    /// The canonical spelling, accepted by the [`FromStr`](std::str::FromStr) impl.
     pub fn label(self) -> &'static str {
         match self {
             LevelSet::RcSi => "rc-si",

@@ -22,7 +22,7 @@
 //! - [`conflict_index`]: precomputed transaction-level conflict matrices
 //!   (bit-packed) and the `mixed-iso-graph` reachability structure
 //!   Algorithm 1 uses.
-//! - [`reference`]: the pre-engine single-threaded implementation, kept
+//! - [`mod@reference`]: the pre-engine single-threaded implementation, kept
 //!   as the ground truth for the equivalence suite and the baseline for
 //!   the engine benchmarks.
 //!

@@ -1,5 +1,5 @@
-//! The event-driven socket core: one nonblocking readiness-polled
-//! loop owning every connection.
+//! The server's socket core: one nonblocking readiness-polled loop
+//! owning every connection.
 //!
 //! One thread runs [`run_event_loop`]. It owns the listener, a waker
 //! fd (the dispatcher's doorbell for completed batch replies), and
@@ -13,19 +13,23 @@
 //!   [`WRITE_BACKPRESSURE`], the loop stops *reading* from it — a slow
 //!   consumer throttles its own pipeline instead of growing the
 //!   server's memory;
-//! - the stall clock for partial frames (same request-timeout
-//!   semantics as the threaded core).
+//! - the stall clock for partial frames: a connection whose partial
+//!   frame sits longer than the request timeout gets a "timed out"
+//!   error reply and is closed; an idle connection never times out;
+//! - the half-close path: at EOF a final unterminated line is still
+//!   answered before the close, while a binary frame cut short is a
+//!   clean drop.
 //!
-//! Requests decode and execute exactly as on the threaded core
-//! ([`process_payload`] is shared), so replay, coalescing, and
-//! fault-injection semantics are bit-identical. Mutations parked for
-//! the group-commit dispatcher come back through the shared
-//! [`Completions`] queue: the dispatcher pushes replies and rings the
-//! waker; the poll wait returns; the loop encodes each reply in its
-//! connection's codec and queues the bytes. No sleep ticks anywhere —
-//! the loop blocks in the kernel until a socket, the listener, or the
-//! waker is actually ready (the wait timeout exists only to poll the
-//! shutdown flag and the stall clocks).
+//! Requests decode and execute through [`process_payload`], which both
+//! codecs share, so replay, coalescing, and fault-injection semantics
+//! are identical across them. Mutations parked for the group-commit
+//! dispatcher come back through the shared [`Completions`] queue: the
+//! dispatcher pushes replies and rings the waker; the poll wait
+//! returns; the loop encodes each reply in its connection's codec and
+//! queues the bytes. No sleep ticks anywhere — the loop blocks in the
+//! kernel until a socket, the listener, or the waker is actually ready
+//! (the wait timeout exists only to poll the shutdown flag and the
+//! stall clocks).
 //!
 //! Readiness comes from a persistent [`Poller`] (epoll on Linux):
 //! connections register once at accept and only re-register when their
@@ -38,23 +42,15 @@
 //! frame or an active discard, which is O(1) in steady state.
 
 use crate::codec::{encode_payload, CodecKind, DrainPlan, FrameBuf, FrameError};
-use crate::poll::{self, PollEvent, Poller};
+use crate::poll::{PollEvent, Poller, WakeRx};
 use crate::protocol::error_reply;
-use crate::server::{
-    process_payload, stall_message, truncated_bytes, ReplyRoute, RequestAction, Shared,
-};
+use crate::server::{process_payload, RequestAction, Shared, POLL_TICK};
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Poll-wait timeout: how often the loop re-checks the shutdown flag
-/// and partial-frame stalls when nothing is ready.
-const POLL_WAIT: Duration = Duration::from_millis(25);
 
 /// Write-backlog watermark (bytes) past which the loop stops reading
 /// from a connection until its backlog drains.
@@ -82,10 +78,10 @@ struct Conn {
     /// Close once the write backlog drains (EOF seen, fatal framing
     /// error answered, shutdown acknowledged, …).
     close_after_flush: bool,
-    /// Close abruptly once the backlog drains (injected truncate).
+    /// Close abruptly once the backlog drains (injected truncate, or
+    /// the connection died). Completions for it are dropped from then
+    /// on: the wire is already cut.
     kill_after_flush: bool,
-    /// Stop delivering completions (a truncate already cut the wire).
-    dead_to_completions: bool,
     /// In-flight request bytes still to swallow before the close, so
     /// the peer sees a FIN (and the error reply) instead of an RST.
     discard: DrainPlan,
@@ -120,6 +116,31 @@ impl Conn {
         encode_payload(codec, reply, &mut self.write_buf);
     }
 
+    /// An injected `Truncate` fault: queues only the first half of the
+    /// reply's encoded frame, then kills the connection. The cut is
+    /// always mid-frame (a frame is ≥ 2 bytes on either codec), so the
+    /// client sees an unterminated line or an incomplete frame, never
+    /// a spuriously valid reply. The request already executed, so its
+    /// retry hits the replay cache.
+    fn queue_truncated(&mut self, codec: CodecKind, reply: &Value) {
+        let start = self.write_buf.len();
+        encode_payload(codec, reply, &mut self.write_buf);
+        self.write_buf
+            .truncate(start + (self.write_buf.len() - start) / 2);
+        self.kill_after_flush = true;
+        self.close_after_flush = true;
+    }
+
+    /// The connection died: drop its backlog and any discard, and close
+    /// it abruptly.
+    fn abort(&mut self) {
+        self.close_after_flush = true;
+        self.kill_after_flush = true;
+        self.write_buf.clear();
+        self.write_pos = 0;
+        self.discard = DrainPlan::None;
+    }
+
     /// Nonblocking flush of the backlog. Returns `false` when the
     /// connection died mid-write.
     fn flush(&mut self) -> bool {
@@ -151,14 +172,21 @@ const TOKEN_WAKER: u64 = u64::MAX - 1;
 
 /// Runs the event loop until shutdown. See the module docs for the
 /// state machine; the caller (`Server::run`) joins the dispatcher.
-pub(crate) fn run_event_loop(listener: &TcpListener, shared: &Arc<Shared>) -> std::io::Result<()> {
+/// `wake_rx` is the loop's half of the waker the dispatcher rings
+/// through [`Shared::completions`].
+pub(crate) fn run_event_loop(
+    listener: &TcpListener,
+    shared: &Shared,
+    mut wake_rx: WakeRx,
+) -> std::io::Result<()> {
     // `Server::run` already set the listener nonblocking.
-    let (waker, mut wake_rx) = poll::waker()?;
-    shared.completions.set_waker(waker);
     let mut poller = Poller::new()?;
     poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
     poller.add(wake_rx.fd(), TOKEN_WAKER, true, false)?;
     let mut conns: HashMap<u64, Conn> = HashMap::new();
+    // Next connection key (monotone, so fault coordinates are
+    // deterministic given the clients' connect order).
+    let mut next_key: u64 = 0;
     // Connections whose state may have changed this tick: their
     // registered interest is reconciled (and closes reaped) at the end.
     let mut touched: Vec<u64> = Vec::new();
@@ -172,7 +200,7 @@ pub(crate) fn run_event_loop(listener: &TcpListener, shared: &Arc<Shared>) -> st
             return Ok(());
         }
 
-        poller.wait(&mut events, POLL_WAIT);
+        poller.wait(&mut events, POLL_TICK);
 
         let mut accept_ready = false;
         for ev in &events {
@@ -193,16 +221,12 @@ pub(crate) fn run_event_loop(listener: &TcpListener, shared: &Arc<Shared>) -> st
             let Some(conn) = conns.get_mut(&done.key) else {
                 continue; // connection died while its reply was parked
             };
-            if conn.dead_to_completions {
+            if conn.kill_after_flush {
                 continue;
             }
             let codec = conn.fb.kind().unwrap_or(CodecKind::Line);
             if done.truncate {
-                conn.write_buf
-                    .extend_from_slice(&truncated_bytes(codec, &done.reply));
-                conn.kill_after_flush = true;
-                conn.close_after_flush = true;
-                conn.dead_to_completions = true;
+                conn.queue_truncated(codec, &done.reply);
             } else {
                 conn.queue_reply(codec, &done.reply);
             }
@@ -219,7 +243,8 @@ pub(crate) fn run_event_loop(listener: &TcpListener, shared: &Arc<Shared>) -> st
                             continue;
                         }
                         stream.set_nodelay(true).ok();
-                        let key = shared.conns.fetch_add(1, Ordering::SeqCst);
+                        let key = next_key;
+                        next_key += 1;
                         if poller.add(stream.as_raw_fd(), key, true, false).is_err() {
                             continue; // fd exhaustion mid-registration
                         }
@@ -237,7 +262,6 @@ pub(crate) fn run_event_loop(listener: &TcpListener, shared: &Arc<Shared>) -> st
                                 partial_since: None,
                                 close_after_flush: false,
                                 kill_after_flush: false,
-                                dead_to_completions: false,
                                 discard: DrainPlan::None,
                                 discard_deadline: None,
                                 reg_read: true,
@@ -271,11 +295,7 @@ pub(crate) fn run_event_loop(listener: &TcpListener, shared: &Arc<Shared>) -> st
                 alive = handle_readable(conn, shared);
             }
             if !alive {
-                conn.close_after_flush = true;
-                conn.kill_after_flush = true;
-                conn.write_buf.clear();
-                conn.write_pos = 0;
-                conn.discard = DrainPlan::None;
+                conn.abort();
             }
             touched.push(ev.token);
         }
@@ -316,11 +336,7 @@ pub(crate) fn run_event_loop(listener: &TcpListener, shared: &Arc<Shared>) -> st
             // when write interest is already registered — the socket
             // was genuinely full last time.
             if conn.backlog() > 0 && !conn.reg_write && !conn.flush() {
-                conn.close_after_flush = true;
-                conn.kill_after_flush = true;
-                conn.write_buf.clear();
-                conn.write_pos = 0;
-                conn.discard = DrainPlan::None;
+                conn.abort();
             }
             if conn.close_after_flush && conn.backlog() == 0 && conn.discard == DrainPlan::None {
                 if conn.kill_after_flush {
@@ -397,10 +413,7 @@ fn handle_readable(conn: &mut Conn, shared: &Shared) -> bool {
                     Ok(Some(payload)) => {
                         let codec = conn.fb.kind().unwrap_or(CodecKind::Line);
                         shared.metrics.codec_request(codec);
-                        let key = conn.key;
-                        let action = process_payload(shared, &payload, conn.key, conn.seq, || {
-                            ReplyRoute::Loop { key }
-                        });
+                        let action = process_payload(shared, &payload, conn.key, conn.seq);
                         apply_action(conn, codec, action);
                     }
                     Ok(None) => {}
@@ -438,10 +451,7 @@ fn decode_frames(conn: &mut Conn, shared: &Shared) {
                 conn.decoded += 1;
                 let codec = conn.fb.kind().expect("kind is sniffed once decoding");
                 shared.metrics.codec_request(codec);
-                let key = conn.key;
-                let action = process_payload(shared, &payload, conn.key, conn.seq, || {
-                    ReplyRoute::Loop { key }
-                });
+                let action = process_payload(shared, &payload, conn.key, conn.seq);
                 conn.seq += 1;
                 apply_action(conn, codec, action);
                 if conn.close_after_flush {
@@ -481,11 +491,7 @@ fn apply_action(conn: &mut Conn, codec: CodecKind, action: RequestAction) {
             truncate,
         } => {
             if truncate {
-                conn.write_buf
-                    .extend_from_slice(&truncated_bytes(codec, &reply));
-                conn.kill_after_flush = true;
-                conn.close_after_flush = true;
-                conn.dead_to_completions = true;
+                conn.queue_truncated(codec, &reply);
                 return;
             }
             conn.queue_reply(codec, &reply);
@@ -496,10 +502,25 @@ fn apply_action(conn: &mut Conn, codec: CodecKind, action: RequestAction) {
     }
 }
 
-/// Queues the structured reply for a framing error when that is safe
-/// (same policy as the threaded core: always on the line codec, only
-/// after a validated frame on the binary codec), and marks the
-/// connection for close.
+/// The stalled-partial-request error text, per codec (both say "timed
+/// out" — tests and clients match on that).
+fn stall_message(codec: CodecKind) -> &'static str {
+    match codec {
+        CodecKind::Line => "request timed out mid-line",
+        CodecKind::Frame => "request timed out mid-frame",
+    }
+}
+
+/// Answers a framing error (oversized, bad magic, bad payload, refused
+/// codec) with a structured reply when that is safe, then marks the
+/// connection for close and starts swallowing the rest of an in-flight
+/// oversized request (closing with unread bytes would turn the close
+/// into an RST that can destroy the reply). On the line codec a reply
+/// is always safe. On the frame codec it is sent only once a frame has
+/// decoded — before that, the "binary" bytes may be junk that merely
+/// began with the magic byte, and answering junk with binary would
+/// confuse line-speaking probes; those get a clean drop. Refusals
+/// answer in the codec the client speaks, so it can decode them.
 fn queue_frame_error(conn: &mut Conn, shared: &Shared, err: &FrameError) {
     shared.metrics.record("invalid", false, Duration::ZERO);
     conn.discard = conn.fb.drain_plan(err);

@@ -8,9 +8,13 @@
 use mvmodel::fmt as mvfmt;
 use mvrobustness::Allocator;
 use mvservice::{
-    Client, ClientError, CodecKind, Config, CoreKind, FaultPlan, RetryClient, RetryPolicy, Server,
+    encode_payload, encode_raw_frame, encode_value, Client, ClientError, CodecKind, Config,
+    FaultPlan, RetryClient, RetryPolicy, Server,
 };
 use mvworkloads::SmallBank;
+use serde_json::{json, Value};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 /// Starts a server on an ephemeral port; returns its address and the
@@ -220,29 +224,88 @@ fn binary_codec_serves_identical_assignments_alongside_line_clients() {
     server.join().expect("server thread");
 }
 
+/// Writes `bytes`, half-closes the write side, and returns everything
+/// the server sends before it closes. A clean close (FIN) reads as
+/// `Ok(0)`; a reset would fail the read.
+fn send_then_half_close(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(bytes).expect("write request bytes");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut got = Vec::new();
+    stream
+        .read_to_end(&mut got)
+        .expect("server closes cleanly after the half-close");
+    got
+}
+
+fn reply_lines(bytes: &[u8]) -> Vec<Value> {
+    std::str::from_utf8(bytes)
+        .expect("line replies are UTF-8")
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("reply line is JSON"))
+        .collect()
+}
+
+/// The EOF path: a final unterminated line is still answered before the
+/// close (after any complete lines ahead of it, in order), while a
+/// binary frame cut short at EOF is dropped without executing and
+/// without a reply.
 #[test]
-fn threaded_core_serves_the_same_protocol() {
+fn half_close_answers_a_final_unterminated_line() {
     let (addr, server) = start_server(Config {
         addr: "127.0.0.1:0".to_string(),
-        core: CoreKind::Threaded,
         ..Config::default()
     });
-    for kind in [CodecKind::Line, CodecKind::Frame] {
-        let mut client = Client::connect_with(addr, kind).expect("connect");
-        client.set_timeout(Some(Duration::from_secs(30))).unwrap();
-        client.ping().expect("ping");
-        let reply = client
-            .register(&format!(
-                "T{}: R[x] W[y]",
-                100 + (kind == CodecKind::Frame) as u32
-            ))
-            .expect("register");
-        assert_eq!(reply["ok"], true);
+
+    let got = send_then_half_close(addr, br#"{"op":"ping"}"#);
+    let replies = reply_lines(&got);
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert_eq!(replies[0]["pong"], true, "{replies:?}");
+
+    let got = send_then_half_close(
+        addr,
+        b"{\"op\":\"ping\"}\n{\"op\":\"register\",\"txn\":\"T1: R[x] W[y]\"}",
+    );
+    let replies = reply_lines(&got);
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    assert_eq!(replies[0]["pong"], true, "{replies:?}");
+    assert_eq!(replies[1]["ok"], true, "{replies:?}");
+    assert_eq!(replies[1]["registry_size"], 1u64, "{replies:?}");
+
+    // Binary: one whole ping frame, then half of a register frame.
+    let mut bytes = Vec::new();
+    encode_payload(CodecKind::Frame, &json!({"op": "ping"}), &mut bytes);
+    let mut payload = Vec::new();
+    encode_value(
+        &json!({"op": "register", "txn": "T2: R[y] W[x]"}),
+        &mut payload,
+    );
+    let mut frame = Vec::new();
+    encode_raw_frame(&payload, &mut frame);
+    bytes.extend_from_slice(&frame[..frame.len() / 2]);
+    let got = send_then_half_close(addr, &bytes);
+    let mut fb = mvservice::FrameBuf::with_kind(CodecKind::Frame);
+    fb.push(&got);
+    match fb.next_payload().expect("well-formed reply frame") {
+        Some(mvservice::Payload::Frame(v)) => assert_eq!(v["pong"], true, "{v}"),
+        other => panic!("expected the ping reply, got {other:?}"),
     }
+    assert_eq!(
+        fb.next_payload().expect("framing"),
+        None,
+        "no reply to the cut frame"
+    );
+    assert!(!fb.has_partial(), "trailing bytes after the ping reply");
+
+    // The cut register never executed; the unterminated one did.
     let mut client = Client::connect(addr).expect("connect");
     let stats = client.stats().expect("stats");
-    assert!(stats["codec_line"].as_u64().unwrap() > 0);
-    assert!(stats["codec_frame"].as_u64().unwrap() > 0);
+    assert_eq!(stats["registry_size"], 1u64, "{stats}");
+    assert!(client.assign(1).is_ok(), "T1 from the unterminated line");
+    assert!(client.assign(2).is_err(), "T2 came from a cut frame");
     client.shutdown().expect("shutdown");
     server.join().expect("server thread");
 }

@@ -208,7 +208,7 @@ pub mod prop {
         use rand::rngs::SmallRng;
         use rand::RngExt;
 
-        /// Length bounds for [`vec`], built from range literals.
+        /// Length bounds for [`vec()`], built from range literals.
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
             lo: usize,
