@@ -112,9 +112,10 @@ impl Parsed {
         }
     }
 
-    /// `--no-components`: disables the component-sharded engine and runs
-    /// the monolithic search. Verdicts and optima are identical either
-    /// way; the flag exists as an escape hatch and for A/B timing.
+    /// `--no-components` (`allocate`/`check`): disables the
+    /// component-sharded engine and runs the monolithic search. Verdicts
+    /// and optima are identical either way; the flag exists as an
+    /// independent reference and for A/B timing.
     pub fn components(&self) -> bool {
         !self.flag("no-components")
     }

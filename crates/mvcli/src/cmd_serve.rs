@@ -52,6 +52,9 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             "serve takes no positional argument (got `{extra}`)"
         ));
     }
+    if parsed.flag("no-components") {
+        return Err("--no-components applies to allocate and check; serve always shards".into());
+    }
     let faults = parsed
         .option("fault-plan")
         .map(|spec| spec.parse::<FaultPlan>())
@@ -68,7 +71,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             .option_parse::<u64>("realloc-timeout-ms")?
             .map(Duration::from_millis),
         faults,
-        components: parsed.components(),
         batch_max: parsed
             .option_parse::<usize>("batch-max")?
             .unwrap_or(1)

@@ -18,12 +18,18 @@ fn run_with_stdin(args: &[&str], stdin: &str) -> (String, String, i32) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn mvrobust");
-    child
+    // A command that fails on its arguments exits without reading
+    // stdin, so the write may hit a closed pipe; its exit code is what
+    // the caller checks.
+    match child
         .stdin
         .as_mut()
         .expect("stdin piped")
         .write_all(stdin.as_bytes())
-        .expect("write stdin");
+    {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        res => res.expect("write stdin"),
+    }
     let out = child.wait_with_output().expect("wait");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -286,7 +292,7 @@ fn usage_errors() {
     assert_eq!(code, 2);
     assert!(stderr.contains("no transactions"));
     // A misspelled flag is an error, not a silently ignored no-op.
-    let (stdout, stderr, code) = run_with_stdin(&["allocate", "--no-component"], "");
+    let (stdout, stderr, code) = run_with_stdin(&["allocate", "--no-component"], SKEW);
     assert_eq!(code, 2);
     assert!(stdout.is_empty(), "{stdout}");
     assert!(
@@ -530,6 +536,10 @@ fn serve_flags_validate() {
     let (_, stderr, code) = run_with_stdin(&["serve", "--core", "threaded"], "");
     assert_eq!(code, 2);
     assert!(stderr.contains("unknown option `--core`"), "{stderr}");
+    // Sharding is not optional for the delta engine behind `serve`.
+    let (_, stderr, code) = run_with_stdin(&["serve", "--no-components"], "");
+    assert_eq!(code, 2);
+    assert!(stderr.contains("--no-components"), "{stderr}");
     let (_, stderr, code) = run_with_stdin(&["client", "ping", "--codec", "morse"], "");
     assert_eq!(code, 2);
     assert!(stderr.contains("invalid --codec"), "{stderr}");

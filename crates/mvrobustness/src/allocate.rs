@@ -1,48 +1,54 @@
 //! Algorithm 2: computing the unique optimal robust allocation over
 //! `{RC, SI, SSI}`.
 //!
-//! [`Allocator`] is the engine-backed entry point: one
-//! [`RobustnessChecker`] (conflict matrices, per-`T₁` iso-graph cache,
-//! optional search threads) serves every probe, and a
-//! **counterexample cache** answers most failing probes without a
-//! search at all. A [`crate::SplitSpec`] that defeated one lowering
-//! usually defeats the next: before each full probe, cached specs are
-//! re-validated against the candidate allocation with
-//! [`crate::SplitSpec::check`] — sound because a spec that checks *is*
-//! a multiversion split schedule for the candidate (Theorem 3.2), so
-//! the candidate is certainly not robust. Cache misses fall through to
-//! the full search, so the refinement's decisions — and therefore the
+//! [`Allocator`] is the engine-backed entry point. It decomposes the
+//! workload into conflict components (DESIGN.md §S14), answers each
+//! component it has solved before from a content-addressed cache, and
+//! solves the rest with one [`RobustnessChecker`] per component
+//! (conflict matrices, per-`T₁` iso-graph cache, optional search
+//! threads). Each solve keeps a **counterexample cache** that answers
+//! most failing probes without a search at all. A [`crate::SplitSpec`]
+//! that defeated one lowering usually defeats the next: before each full
+//! probe, cached specs are re-validated against the candidate allocation
+//! with [`crate::SplitSpec::check`] — sound because a spec that checks
+//! *is* a multiversion split schedule for the candidate (Theorem 3.2),
+//! so the candidate is certainly not robust. Cache misses fall through
+//! to the full search, so the refinement's decisions — and therefore the
 //! computed optimum — are bit-for-bit those of the uncached algorithm.
+//! [`Allocator::with_components`]`(false)` runs the one-shot methods
+//! over the whole set instead: the monolithic reference engine.
 //!
 //! The free functions ([`optimal_allocation`] &c.) keep their original
 //! signatures and delegate to a single-threaded [`Allocator`].
 //!
 //! # Online deltas
 //!
-//! [`Allocator::add_txn`] / [`Allocator::remove_txn`] maintain the
-//! optimum *incrementally* as the workload changes (the access pattern
-//! of a long-running allocation service). They exploit the monotonicity
-//! of the unique optimum (Proposition 4.1(2) / Theorem 4.3):
+//! [`Allocator::add_txn`], [`Allocator::remove_txn`] and
+//! [`Allocator::apply_batch`] maintain the optimum *incrementally* as
+//! the workload changes (the access pattern of a long-running
+//! allocation service). All three run one step: apply the events to the
+//! membership, then re-solve through the component solver. Components
+//! the events left untouched are cache hits; each touched component is
+//! solved warm from the previous optimum, using the monotonicity of the
+//! unique optimum (Proposition 4.1(2) / Theorem 4.3):
 //!
 //! - **Adding** a transaction can only *raise* levels: any robust
 //!   allocation of the grown set restricts to a robust allocation of the
 //!   old set, so the new optimum dominates the old one pointwise. The
-//!   delta path first probes the previous optimum extended with the new
-//!   transaction at the ceiling — when that is robust, refinement starts
-//!   there instead of from the uniform ceiling; when it is not, the full
-//!   refinement runs with the old optimum as a *floor*, skipping every
-//!   lowering the old optimum already ruled out.
+//!   solve probes the previous optimum restricted to the component, with
+//!   newcomers at the ceiling — when that is robust, refinement starts
+//!   there instead of from the uniform ceiling — and, when nothing was
+//!   removed, uses the old levels as a *floor*, skipping every lowering
+//!   the old optimum already ruled out.
 //! - **Removing** a transaction can only *lower* levels: the old optimum
 //!   restricted to the survivors is still robust, so refinement starts
-//!   from that restriction and only probes transactions that might drop.
+//!   from that restriction without a probe and only lowers.
 //!
-//! Both paths share one persistent counterexample cache across
-//! reallocations (specs mentioning a removed transaction are pruned —
-//! they may dangle; every other spec remains a sound rejection
-//! certificate because [`SplitSpec::check`] re-validates it against the
-//! current set and candidate). Acceptances always come from a full
-//! probe, so delta results are bit-for-bit the from-scratch optimum —
-//! `tests/delta_equivalence.rs` asserts exactly that on randomized
+//! Acceptances always come from a full probe and the optimum is unique
+//! (Proposition 4.2), so whatever the start, the result is bit-for-bit
+//! the from-scratch optimum — which is also why the fingerprint caches
+//! may hold it. `tests/delta_equivalence.rs` and
+//! `tests/batch_equivalence.rs` assert exactly that on randomized
 //! workloads.
 
 use crate::algorithm1::RobustnessChecker;
@@ -51,7 +57,7 @@ use crate::conflict_index::ConflictIndex;
 use crate::split_schedule::SplitSpec;
 use crate::stats::EngineStats;
 use mvisolation::{Allocation, IsolationLevel, LevelChange};
-use mvmodel::{ModelError, Object, Transaction, TransactionSet, TxnId};
+use mvmodel::{Object, Transaction, TransactionSet, TxnId};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -216,13 +222,19 @@ impl BatchRealloc {
     pub fn accepted(&self) -> usize {
         self.outcomes.iter().filter(|o| o.is_ok()).count()
     }
-}
 
-/// Counterexamples kept across reallocations beyond this count are
-/// discarded oldest-first: the cache is only an accelerator, and
-/// re-validating an unbounded backlog on every probe would eventually
-/// cost more than the probes it saves.
-const SPEC_CACHE_CAP: usize = 256;
+    /// A one-event step as the single-event API reports it.
+    fn into_single(mut self) -> Result<Realloc, AllocError> {
+        self.outcomes
+            .pop()
+            .expect("a one-event step has one verdict")?;
+        Ok(Realloc {
+            allocation: self.allocation,
+            changed: self.changed,
+            stats: self.stats,
+        })
+    }
+}
 
 /// Engine-backed Algorithm 2 runner over one transaction set.
 ///
@@ -242,12 +254,10 @@ pub struct Allocator<'a> {
     op_timeout: Option<Duration>,
     /// The optimum of the current set, when known (delta API state).
     last: Option<Allocation>,
-    /// Counterexamples from past lowerings, reused across reallocations.
-    specs: Vec<SplitSpec>,
     /// Work counters of the most recent reallocation.
     last_stats: Option<EngineStats>,
-    /// Component sharding (on by default; `with_components(false)` is
-    /// the unsharded escape hatch).
+    /// Component sharding for the one-shot methods (on by default;
+    /// `with_components(false)` selects the monolithic engine).
     components: bool,
     /// Solved components keyed by content fingerprint, persisted across
     /// reallocations: a delta that leaves a component untouched answers
@@ -267,7 +277,6 @@ impl<'a> Allocator<'a> {
             levels: LevelSet::default(),
             op_timeout: None,
             last: None,
-            specs: Vec::new(),
             last_stats: None,
             components: true,
             comp_cache: CompCache::new(COMP_CACHE_CAP),
@@ -285,7 +294,6 @@ impl<'a> Allocator<'a> {
             levels: LevelSet::default(),
             op_timeout: None,
             last: None,
-            specs: Vec::new(),
             last_stats: None,
             components: true,
             comp_cache: CompCache::new(COMP_CACHE_CAP),
@@ -300,22 +308,22 @@ impl<'a> Allocator<'a> {
         self
     }
 
-    /// Enables or disables the component-sharded engine (on by
-    /// default). Sharding decomposes the workload into conflict
+    /// Selects the engine of the one-shot [`Allocator::optimal`] and
+    /// [`Allocator::optimal_rc_si`]: component-sharded (the default) or
+    /// monolithic. Sharding decomposes the workload into conflict
     /// components, solves each independently (in parallel with
     /// [`Allocator::with_threads`] > 1), and unions the per-component
-    /// optima — bit-identical to the unsharded result by the uniqueness
+    /// optima — bit-identical to the monolithic result by the uniqueness
     /// of the optimum (Prop. 4.2) and component locality of split
-    /// schedules. `false` restores the pre-sharding engine exactly
-    /// (`--no-components`).
+    /// schedules. `false` runs the monolithic engine over the whole set
+    /// (`--no-components`), the independent reference the equivalence
+    /// suites check against. The delta API ([`Allocator::current`],
+    /// [`Allocator::add_txn`], [`Allocator::remove_txn`],
+    /// [`Allocator::apply_batch`]) always shards and ignores this
+    /// setting.
     pub fn with_components(mut self, on: bool) -> Self {
         self.components = on;
         self
-    }
-
-    /// Whether component sharding is enabled.
-    pub fn components_enabled(&self) -> bool {
-        self.components
     }
 
     /// Attaches a [`SharedCompCache`] consulted after local-cache misses
@@ -340,12 +348,15 @@ impl<'a> Allocator<'a> {
     /// methods ([`Allocator::optimal`], [`Allocator::optimal_rc_si`])
     /// select their menu by name instead and ignore this setting.
     ///
-    /// Changing the menu clears the component cache: cached entries are
-    /// optima *for a menu*, and the menu is deliberately not part of the
-    /// content-addressed key.
+    /// Changing the menu drops the cached optimum and clears the
+    /// component cache: both are optima *for a menu*, and the menu is
+    /// deliberately not part of the content-addressed key. The next
+    /// delta call recomputes the optimum over the new menu.
     pub fn with_levels(mut self, levels: LevelSet) -> Self {
         if levels != self.levels {
             self.comp_cache.clear();
+            self.last = None;
+            self.last_stats = None;
         }
         self.levels = levels;
         self
@@ -419,32 +430,32 @@ impl<'a> Allocator<'a> {
         }
     }
 
+    /// The sharded one-shot optimum over `levels` (`None`: not
+    /// allocatable), solved cold into a fresh component cache.
+    fn optimal_sharded(&self, levels: LevelSet) -> (Option<Allocation>, EngineStats) {
+        let start = Instant::now();
+        let job = Solve {
+            txns: self.txns(),
+            levels,
+            threads: self.threads,
+            deadline: None,
+            warm: None,
+        };
+        let mut cache = CompCache::new(COMP_CACHE_CAP);
+        let mut s = ShardStats::default();
+        // Without a deadline the only possible error is NotAllocatable.
+        let alloc = shard_optimal(&job, &mut cache, self.shared_cache.as_deref(), &mut s).ok();
+        (alloc, s.engine_stats(self.threads, start))
+    }
+
     /// The unique optimal robust allocation over `{RC, SI, SSI}`
     /// (Theorem 4.3), plus the work counters.
     pub fn optimal(&self) -> (Allocation, EngineStats) {
-        let start = Instant::now();
         if self.components {
-            let mut cache = CompCache::new(COMP_CACHE_CAP);
-            let mut s = ShardStats::default();
-            match shard_optimal(
-                self.txns(),
-                LevelSet::RcSiSsi,
-                self.threads,
-                None,
-                &mut cache,
-                self.shared_cache.as_deref(),
-                &mut s,
-            ) {
-                Ok(ShardOutcome::Solved(alloc)) => {
-                    return (alloc, s.engine_stats(self.threads, 0, start));
-                }
-                Ok(ShardOutcome::Unallocatable) => {
-                    unreachable!("the all-SSI ceiling is always robust")
-                }
-                Ok(ShardOutcome::Skip) => {}
-                Err(Expired) => unreachable!("no deadline was set"),
-            }
+            let (alloc, stats) = self.optimal_sharded(LevelSet::RcSiSsi);
+            return (alloc.expect("the all-SSI ceiling is always robust"), stats);
         }
+        let start = Instant::now();
         let checker = self.checker();
         let (alloc, cache) = refine_cached(
             self.txns(),
@@ -518,29 +529,10 @@ impl<'a> Allocator<'a> {
     /// or `None` when none exists — i.e. when `𝒜_SI` itself is not
     /// robust (Proposition 5.4).
     pub fn optimal_rc_si(&self) -> (Option<Allocation>, EngineStats) {
-        let start = Instant::now();
         if self.components {
-            let mut cache = CompCache::new(COMP_CACHE_CAP);
-            let mut s = ShardStats::default();
-            match shard_optimal(
-                self.txns(),
-                LevelSet::RcSi,
-                self.threads,
-                None,
-                &mut cache,
-                self.shared_cache.as_deref(),
-                &mut s,
-            ) {
-                Ok(ShardOutcome::Solved(alloc)) => {
-                    return (Some(alloc), s.engine_stats(self.threads, 0, start));
-                }
-                Ok(ShardOutcome::Unallocatable) => {
-                    return (None, s.engine_stats(self.threads, 0, start));
-                }
-                Ok(ShardOutcome::Skip) => {}
-                Err(Expired) => unreachable!("no deadline was set"),
-            }
+            return self.optimal_sharded(LevelSet::RcSi);
         }
+        let start = Instant::now();
         let checker = self.checker();
         let si = Allocation::uniform_si(self.txns());
         if !checker.is_robust(&si).robust() {
@@ -571,11 +563,11 @@ impl<'a> Allocator<'a> {
     /// Adding a transaction can only raise levels (any robust allocation
     /// of the grown set restricts to a robust one of the old set), so the
     /// previous optimum is a valid *floor* for every surviving
-    /// transaction. The fast path probes the previous optimum extended
-    /// with the newcomer at the ceiling; since the optimum is the
-    /// pointwise-least robust allocation, refining from that candidate
-    /// (when robust) or from the uniform ceiling (otherwise) reaches the
-    /// exact from-scratch optimum.
+    /// transaction. The touched component's solve probes the previous
+    /// optimum extended with the newcomer at the ceiling; since the
+    /// optimum is the pointwise-least robust allocation, refining from
+    /// that candidate (when robust) or from the uniform ceiling
+    /// (otherwise) reaches the exact from-scratch optimum.
     ///
     /// Over [`LevelSet::RcSi`] the grown workload may not be
     /// allocatable; the insertion is then rolled back and the previous
@@ -594,137 +586,11 @@ impl<'a> Allocator<'a> {
         txn: Transaction,
         deadline: Option<Instant>,
     ) -> Result<Realloc, AllocError> {
-        let id = txn.id();
-        if self.txns.contains(id) {
-            return Err(AllocError::Duplicate(id));
+        if self.txns.contains(txn.id()) {
+            return Err(AllocError::Duplicate(txn.id()));
         }
-        // The pre-mutation optimum is both the diff baseline and the
-        // refinement floor; make sure it exists before mutating.
-        self.ensure_current(deadline)?;
-        self.txns
-            .to_mut()
-            .insert(txn)
-            .map_err(|_: ModelError| AllocError::Duplicate(id))?;
-        let prev = self.last.clone().expect("ensure_current fills the cache");
-        let start = Instant::now();
-        if self.components {
-            let mut s = ShardStats::default();
-            match shard_optimal(
-                self.txns.as_ref(),
-                self.levels,
-                self.threads,
-                deadline,
-                &mut self.comp_cache,
-                self.shared_cache.as_deref(),
-                &mut s,
-            ) {
-                Ok(ShardOutcome::Solved(alloc)) => {
-                    return Ok(self.accept_delta(&prev, alloc, start, s));
-                }
-                outcome @ (Ok(ShardOutcome::Unallocatable) | Err(Expired)) => {
-                    // Roll back exactly like the unsharded path below.
-                    self.txns.to_mut().remove(id);
-                    self.specs.retain(|sp| !spec_mentions(sp, id));
-                    return Err(match outcome {
-                        Err(Expired) => AllocError::Timeout,
-                        _ => AllocError::NotAllocatable(self.levels),
-                    });
-                }
-                Ok(ShardOutcome::Skip) => {}
-            }
-        }
-        let ceiling = self.levels.ceiling();
-        let rc_si = self.levels == LevelSet::RcSi;
-        let (outcome, csnap) = {
-            let txns: &TransactionSet = &self.txns;
-            let checker = RobustnessChecker::new(txns)
-                .with_threads(self.threads)
-                .with_components(self.components);
-            let mut hits = 0u64;
-            let floor = prev.with(id, IsolationLevel::RC);
-
-            let outcome = if expired(deadline) {
-                Err(Expired)
-            } else {
-                // Fast path: previous optimum + newcomer at the ceiling.
-                let candidate = prev.with(id, ceiling);
-                let candidate_ok =
-                    probe_cached(txns, &checker, &mut self.specs, &candidate, &mut hits);
-                if candidate_ok {
-                    refine_with(
-                        txns,
-                        &checker,
-                        &mut self.specs,
-                        candidate,
-                        Some(&floor),
-                        deadline,
-                        &mut |_, _, _| {},
-                    )
-                    .map(|(alloc, h)| Some((alloc, hits + h)))
-                } else if expired(deadline) {
-                    Err(Expired)
-                } else {
-                    // Slow path: the old optimum no longer suffices — some
-                    // survivor must rise. Refine from the uniform ceiling
-                    // (robust unconditionally for {RC, SI, SSI}; probed for
-                    // {RC, SI}, where it may fail).
-                    let uniform = Allocation::uniform(txns, ceiling);
-                    let robust = !rc_si
-                        || probe_cached(txns, &checker, &mut self.specs, &uniform, &mut hits);
-                    if robust {
-                        refine_with(
-                            txns,
-                            &checker,
-                            &mut self.specs,
-                            uniform,
-                            Some(&floor),
-                            deadline,
-                            &mut |_, _, _| {},
-                        )
-                        .map(|(alloc, h)| Some((alloc, hits + h)))
-                    } else {
-                        Ok(None)
-                    }
-                }
-            };
-            (outcome, snap(&checker))
-        };
-        match outcome {
-            Ok(Some((alloc, hits))) => {
-                trim_specs(&mut self.specs);
-                let stats = EngineStats {
-                    probes: csnap.probes,
-                    cache_hits: hits,
-                    cached_specs: self.specs.len() as u64,
-                    iso_builds: csnap.iso_builds,
-                    components_checked: csnap.components_checked,
-                    components_cached: csnap.components_cached,
-                    kernel_row_ops: csnap.kernel_row_ops,
-                    batch_events: 0,
-                    batched_components_solved: 0,
-                    threads: self.threads,
-                    wall: start.elapsed(),
-                };
-                let changed = prev.diff(&alloc);
-                self.last = Some(alloc.clone());
-                self.last_stats = Some(stats.clone());
-                Ok(Realloc {
-                    allocation: alloc,
-                    changed,
-                    stats,
-                })
-            }
-            outcome @ (Ok(None) | Err(Expired)) => {
-                // Roll back: the set reverts, specs mentioning the
-                // rejected newcomer would dangle, the old optimum stands.
-                self.txns.to_mut().remove(id);
-                self.specs.retain(|s| !spec_mentions(s, id));
-                match outcome {
-                    Err(Expired) => Err(AllocError::Timeout),
-                    _ => Err(AllocError::NotAllocatable(self.levels)),
-                }
-            }
-        }
+        self.step(vec![DeltaEvent::Add(txn)], deadline, false)?
+            .into_single()
     }
 
     /// Deregisters `id` and incrementally recomputes the optimum.
@@ -751,126 +617,8 @@ impl<'a> Allocator<'a> {
         if !self.txns.contains(id) {
             return Err(AllocError::Unknown(id));
         }
-        let removed = self
-            .txns
-            .to_mut()
-            .remove(id)
-            .expect("contains(id) checked above");
-        // Specs mentioning the departed transaction reference ids and op
-        // indices that no longer resolve — drop them. Every other cached
-        // spec only touches surviving transactions and stays sound.
-        // (Dropping them is sound even if the removal rolls back below:
-        // the cache is only an accelerator.)
-        self.specs.retain(|s| !spec_mentions(s, id));
-        let Some(prev) = self.last.clone() else {
-            // No optimum yet (never computed, or the previous set was
-            // not {RC, SI}-allocatable): compute from scratch.
-            if let Err(e) = self.ensure_current(deadline) {
-                if e == AllocError::Timeout {
-                    // Restore the set; there was no optimum to preserve.
-                    self.txns
-                        .to_mut()
-                        .insert(removed)
-                        .expect("re-inserting the just-removed transaction");
-                }
-                return Err(e);
-            }
-            let alloc = self.last.clone().expect("ensure_current fills the cache");
-            let stats = self.last_stats.clone().expect("ensure_current fills stats");
-            let changed = alloc
-                .iter()
-                .map(|(txn, level)| LevelChange {
-                    txn,
-                    before: None,
-                    after: Some(level),
-                })
-                .collect();
-            return Ok(Realloc {
-                allocation: alloc,
-                changed,
-                stats,
-            });
-        };
-        let start = Instant::now();
-        if self.components {
-            let mut s = ShardStats::default();
-            match shard_optimal(
-                self.txns.as_ref(),
-                self.levels,
-                self.threads,
-                deadline,
-                &mut self.comp_cache,
-                self.shared_cache.as_deref(),
-                &mut s,
-            ) {
-                Ok(ShardOutcome::Solved(alloc)) => {
-                    return Ok(self.accept_delta(&prev, alloc, start, s));
-                }
-                Err(Expired) => {
-                    self.txns
-                        .to_mut()
-                        .insert(removed)
-                        .expect("re-inserting the just-removed transaction");
-                    return Err(AllocError::Timeout);
-                }
-                // Shrinking a workload cannot make it less allocatable,
-                // and `prev` existed — Unallocatable is unreachable here;
-                // fall through to the unsharded path defensively.
-                Ok(ShardOutcome::Skip | ShardOutcome::Unallocatable) => {}
-            }
-        }
-        let mut reduced = prev.clone();
-        reduced.remove(id);
-        let (outcome, csnap) = {
-            let txns: &TransactionSet = &self.txns;
-            let checker = RobustnessChecker::new(txns)
-                .with_threads(self.threads)
-                .with_components(self.components);
-            let outcome = refine_with(
-                txns,
-                &checker,
-                &mut self.specs,
-                reduced,
-                None,
-                deadline,
-                &mut |_, _, _| {},
-            );
-            (outcome, snap(&checker))
-        };
-        let (alloc, hits) = match outcome {
-            Ok(pair) => pair,
-            Err(Expired) => {
-                // Roll back: re-insert the transaction; `prev` is still
-                // the optimum of the restored set.
-                self.txns
-                    .to_mut()
-                    .insert(removed)
-                    .expect("re-inserting the just-removed transaction");
-                return Err(AllocError::Timeout);
-            }
-        };
-        trim_specs(&mut self.specs);
-        let stats = EngineStats {
-            probes: csnap.probes,
-            cache_hits: hits,
-            cached_specs: self.specs.len() as u64,
-            iso_builds: csnap.iso_builds,
-            components_checked: csnap.components_checked,
-            components_cached: csnap.components_cached,
-            kernel_row_ops: csnap.kernel_row_ops,
-            batch_events: 0,
-            batched_components_solved: 0,
-            threads: self.threads,
-            wall: start.elapsed(),
-        };
-        let changed = prev.diff(&alloc);
-        self.last = Some(alloc.clone());
-        self.last_stats = Some(stats.clone());
-        Ok(Realloc {
-            allocation: alloc,
-            changed,
-            stats,
-        })
+        self.step(vec![DeltaEvent::Remove(id)], deadline, false)?
+            .into_single()
     }
 
     /// Applies a coalesced batch of membership mutations with **one**
@@ -898,14 +646,15 @@ impl<'a> Allocator<'a> {
     ///   sequence* — an optimistic whole-batch solve would accept
     ///   interleavings sequential processing rejects (an unallocatable
     ///   add followed by the remove that would have made it
-    ///   allocatable). The batch therefore falls back to the sequential
-    ///   delta path per event, still sharing the persistent component
-    ///   fingerprint cache across events.
+    ///   allocatable). The batch therefore solves after every add (and
+    ///   once more after trailing removes), still sharing the
+    ///   persistent component fingerprint cache across events.
     ///
     /// A deadline expiry rolls back the **whole batch** — membership
     /// and optimum revert to the pre-batch state — and returns
     /// [`AllocError::Timeout`], so a caller's last-known-good
-    /// degradation story is the same as for single events.
+    /// degradation story is the same as for single events. A batch
+    /// that changes no membership runs no solve.
     pub fn apply_batch(&mut self, events: Vec<DeltaEvent>) -> Result<BatchRealloc, AllocError> {
         self.apply_batch_by(events, self.op_deadline())
     }
@@ -918,384 +667,167 @@ impl<'a> Allocator<'a> {
         events: Vec<DeltaEvent>,
         deadline: Option<Instant>,
     ) -> Result<BatchRealloc, AllocError> {
-        // The pre-batch optimum is both the diff baseline and (on
-        // rollback) the state to serve; make sure it exists before
-        // mutating — exactly like `add_txn`.
-        self.ensure_current(deadline)?;
-        let prev = self.last.clone().expect("ensure_current fills the cache");
-        let start = Instant::now();
-        if events.is_empty() {
-            let stats = EngineStats {
-                cached_specs: self.specs.len() as u64,
-                threads: self.threads,
-                wall: start.elapsed(),
-                ..EngineStats::default()
-            };
-            return Ok(BatchRealloc {
-                allocation: prev,
-                outcomes: Vec::new(),
-                changed: Vec::new(),
-                stats,
-            });
-        }
-        if self.levels == LevelSet::RcSi {
-            return self.apply_batch_sequential(events, deadline, prev, start);
-        }
-        // {RC, SI, SSI}: simulate the event sequence on the membership
-        // (verdicts are pure bookkeeping), then solve the final set once.
-        let saved = self.txns.as_ref().clone();
-        let touched: Vec<TxnId> = events.iter().map(|e| e.id()).collect();
-        let n_events = events.len() as u64;
-        let mut outcomes = Vec::with_capacity(events.len());
-        // Newcomers still present at the end of the batch.
-        let mut added: Vec<TxnId> = Vec::new();
-        // Every id a Remove event successfully took out, even if a
-        // later Add brought the id back: cached specs mention the *old*
-        // transaction's operations and must not survive.
-        let mut removed_ids: Vec<TxnId> = Vec::new();
-        {
-            let set = self.txns.to_mut();
-            for ev in events {
-                match ev {
-                    DeltaEvent::Add(txn) => {
-                        let id = txn.id();
-                        if set.contains(id) {
-                            outcomes.push(Err(AllocError::Duplicate(id)));
-                        } else {
-                            set.insert(txn).expect("contains(id) checked above");
-                            added.push(id);
-                            outcomes.push(Ok(()));
-                        }
-                    }
-                    DeltaEvent::Remove(id) => {
-                        if set.remove(id).is_some() {
-                            added.retain(|&a| a != id);
-                            removed_ids.push(id);
-                            outcomes.push(Ok(()));
-                        } else {
-                            outcomes.push(Err(AllocError::Unknown(id)));
-                        }
-                    }
-                }
-            }
-        }
-        // Prune before solving: specs mentioning a removed transaction
-        // dangle against the new set (same rule as `remove_txn`).
-        if !removed_ids.is_empty() {
-            self.specs
-                .retain(|s| !removed_ids.iter().any(|&id| spec_mentions(s, id)));
-        }
-        if self.components {
-            let mut s = ShardStats::default();
-            match shard_optimal(
-                self.txns.as_ref(),
-                self.levels,
-                self.threads,
-                deadline,
-                &mut self.comp_cache,
-                self.shared_cache.as_deref(),
-                &mut s,
-            ) {
-                Ok(ShardOutcome::Solved(alloc)) => {
-                    let mut stats = s.engine_stats(self.threads, self.specs.len() as u64, start);
-                    stats.batch_events = n_events;
-                    stats.batched_components_solved = s.checked;
-                    let changed = prev.diff(&alloc);
-                    self.last = Some(alloc.clone());
-                    self.last_stats = Some(stats.clone());
-                    return Ok(BatchRealloc {
-                        allocation: alloc,
-                        outcomes,
-                        changed,
-                        stats,
-                    });
-                }
-                Ok(ShardOutcome::Unallocatable) => {
-                    unreachable!("the all-SSI ceiling is always robust")
-                }
-                Err(Expired) => return Err(self.rollback_batch(saved, &touched)),
-                Ok(ShardOutcome::Skip) => {}
-            }
-        }
-        let ceiling = self.levels.ceiling();
-        let (outcome, csnap) = {
-            let txns: &TransactionSet = &self.txns;
-            let checker = RobustnessChecker::new(txns)
-                .with_threads(self.threads)
-                .with_components(self.components);
-            let mut hits = 0u64;
-            // Adds only raise levels (Proposition 4.1), so with no
-            // successful remove the pre-batch optimum extended with the
-            // newcomers at RC bounds the new optimum from below.
-            let floor = if removed_ids.is_empty() {
-                Some(
-                    added
-                        .iter()
-                        .fold(prev.clone(), |a, &id| a.with(id, IsolationLevel::RC)),
-                )
-            } else {
-                None
-            };
-            let outcome = if expired(deadline) {
-                Err(Expired)
-            } else {
-                // Fast path: previous optimum restricted to the
-                // survivors, newcomers at the ceiling. When robust it
-                // dominates the new optimum (the pointwise-least robust
-                // allocation), so refining from it reaches the exact
-                // from-scratch optimum.
-                let mut candidate = prev.clone();
-                for &id in &removed_ids {
-                    candidate.remove(id);
-                }
-                for &id in &added {
-                    candidate.set(id, ceiling);
-                }
-                let candidate_ok =
-                    probe_cached(txns, &checker, &mut self.specs, &candidate, &mut hits);
-                let start_alloc = if candidate_ok {
-                    Some(candidate)
-                } else if expired(deadline) {
-                    None
-                } else {
-                    // Slow path: some survivor must rise — refine from
-                    // the uniform ceiling (robust unconditionally over
-                    // {RC, SI, SSI}).
-                    Some(Allocation::uniform(txns, ceiling))
-                };
-                match start_alloc {
-                    None => Err(Expired),
-                    Some(a) => refine_with(
-                        txns,
-                        &checker,
-                        &mut self.specs,
-                        a,
-                        floor.as_ref(),
-                        deadline,
-                        &mut |_, _, _| {},
-                    )
-                    .map(|(alloc, h)| (alloc, hits + h)),
-                }
-            };
-            (outcome, snap(&checker))
-        };
-        match outcome {
-            Ok((alloc, hits)) => {
-                trim_specs(&mut self.specs);
-                let stats = EngineStats {
-                    probes: csnap.probes,
-                    cache_hits: hits,
-                    cached_specs: self.specs.len() as u64,
-                    iso_builds: csnap.iso_builds,
-                    components_checked: csnap.components_checked,
-                    components_cached: csnap.components_cached,
-                    kernel_row_ops: csnap.kernel_row_ops,
-                    batch_events: n_events,
-                    batched_components_solved: 0,
-                    threads: self.threads,
-                    wall: start.elapsed(),
-                };
-                let changed = prev.diff(&alloc);
-                self.last = Some(alloc.clone());
-                self.last_stats = Some(stats.clone());
-                Ok(BatchRealloc {
-                    allocation: alloc,
-                    outcomes,
-                    changed,
-                    stats,
-                })
-            }
-            Err(Expired) => Err(self.rollback_batch(saved, &touched)),
-        }
+        self.step(events, deadline, true)
     }
 
-    /// The `{RC, SI}` batch path: per-event sequential delta processing
-    /// — acceptance depends on the membership at that point in the
-    /// sequence (see [`Allocator::apply_batch`]) — still sharing the
-    /// persistent component fingerprint cache so untouched components
-    /// cost nothing per event. A deadline expiry rolls back the whole
-    /// batch.
-    fn apply_batch_sequential(
+    /// The one delta step behind [`Allocator::add_txn`],
+    /// [`Allocator::remove_txn`] and [`Allocator::apply_batch`]: applies
+    /// `events` to the membership in input order and re-solves through
+    /// the component solver, warm-started from the optimum of the
+    /// previous solve. Over `{RC, SI, SSI}` it solves once, after the
+    /// last event; over `{RC, SI}` also after each add, whose
+    /// acceptance depends on the membership at that point (a rejected
+    /// add reverts alone). A deadline expiry undoes every event of the
+    /// call. `batch` fills the batch counters of the stats.
+    fn step(
         &mut self,
         events: Vec<DeltaEvent>,
         deadline: Option<Instant>,
-        prev: Allocation,
-        start: Instant,
+        batch: bool,
     ) -> Result<BatchRealloc, AllocError> {
-        let saved = self.txns.as_ref().clone();
-        let saved_last = self.last.clone();
-        let saved_stats = self.last_stats.clone();
-        let touched: Vec<TxnId> = events.iter().map(|e| e.id()).collect();
+        // The pre-call optimum is both the diff baseline and the first
+        // warm start; make sure it exists before mutating.
+        self.ensure_current(deadline)?;
+        let prev = self.last.clone().expect("ensure_current fills the cache");
+        let start = Instant::now();
         let n_events = events.len() as u64;
+        let mut s = ShardStats::default();
         let mut outcomes = Vec::with_capacity(events.len());
-        let mut acc = EngineStats::default();
+        // The inverse of every applied event, replayed newest-first if
+        // the deadline expires.
+        let mut undo: Vec<DeltaEvent> = Vec::new();
+        // The optimum as of the last solve, and whether the membership
+        // gained or lost transactions since.
+        let mut cur = prev.clone();
+        let (mut added, mut removed, mut solved) = (false, false, false);
         for ev in events {
-            let res = match ev {
-                DeltaEvent::Add(txn) => self.add_txn_by(txn, deadline),
-                DeltaEvent::Remove(id) => self.remove_txn_by(id, deadline),
-            };
-            match res {
-                Ok(r) => {
-                    acc.probes += r.stats.probes;
-                    acc.cache_hits += r.stats.cache_hits;
-                    acc.iso_builds += r.stats.iso_builds;
-                    acc.components_checked += r.stats.components_checked;
-                    acc.components_cached += r.stats.components_cached;
-                    acc.kernel_row_ops += r.stats.kernel_row_ops;
-                    acc.batched_components_solved += r.stats.components_checked;
+            match ev {
+                DeltaEvent::Add(txn) => {
+                    let id = txn.id();
+                    if self.txns.contains(id) {
+                        outcomes.push(Err(AllocError::Duplicate(id)));
+                        continue;
+                    }
+                    self.txns
+                        .to_mut()
+                        .insert(txn)
+                        .expect("contains(id) checked above");
+                    undo.push(DeltaEvent::Remove(id));
+                    added = true;
+                    if self.levels == LevelSet::RcSi {
+                        let warm = Some(Warm {
+                            prev: &cur,
+                            added,
+                            removed,
+                        });
+                        match self.solve(warm, deadline, &mut s) {
+                            Ok(alloc) => {
+                                (cur, added, removed, solved) = (alloc, false, false, true);
+                            }
+                            Err(AllocError::NotAllocatable(l)) => {
+                                self.txns.to_mut().remove(id);
+                                undo.pop();
+                                added = false;
+                                outcomes.push(Err(AllocError::NotAllocatable(l)));
+                                continue;
+                            }
+                            Err(e) => return Err(self.rollback(undo, e)),
+                        }
+                    }
                     outcomes.push(Ok(()));
                 }
-                Err(AllocError::Timeout) => {
-                    // Earlier events of the batch already applied must
-                    // not survive a partial batch.
-                    self.last = saved_last;
-                    self.last_stats = saved_stats;
-                    return Err(self.rollback_batch(saved, &touched));
-                }
-                Err(e) => outcomes.push(Err(e)),
+                DeltaEvent::Remove(id) => match self.txns.to_mut().remove(id) {
+                    Some(txn) => {
+                        undo.push(DeltaEvent::Add(txn));
+                        removed = true;
+                        outcomes.push(Ok(()));
+                    }
+                    None => outcomes.push(Err(AllocError::Unknown(id))),
+                },
             }
         }
-        acc.batch_events = n_events;
-        acc.cached_specs = self.specs.len() as u64;
-        acc.threads = self.threads;
-        acc.wall = start.elapsed();
-        let alloc = self
-            .last
-            .clone()
-            .expect("a batch without timeouts leaves an optimum");
-        let changed = prev.diff(&alloc);
-        self.last_stats = Some(acc.clone());
+        if added || removed {
+            let warm = Some(Warm {
+                prev: &cur,
+                added,
+                removed,
+            });
+            match self.solve(warm, deadline, &mut s) {
+                Ok(alloc) => (cur, solved) = (alloc, true),
+                Err(e) => return Err(self.rollback(undo, e)),
+            }
+        }
+        let mut stats = s.engine_stats(self.threads, start);
+        if batch {
+            stats.batch_events = n_events;
+            stats.batched_components_solved = stats.components_checked;
+        }
+        if solved {
+            self.last = Some(cur.clone());
+            self.last_stats = Some(stats.clone());
+        }
         Ok(BatchRealloc {
-            allocation: alloc,
+            changed: prev.diff(&cur),
+            allocation: cur,
             outcomes,
-            changed,
-            stats: acc,
+            stats,
         })
     }
 
-    /// Restores the pre-batch membership after a mid-batch deadline
-    /// expiry and drops every cached spec that mentions a transaction
-    /// the batch touched: such specs may have been minted against a
-    /// mid-batch incarnation of the id and would dangle — or silently
-    /// mismatch — against the restored set. Specs mentioning only
-    /// untouched transactions stay sound verbatim (over-pruning is
-    /// sound regardless; the cache is only an accelerator). The cached
-    /// optimum still matches the restored set: the batch either never
-    /// updated it or the caller restored it alongside.
-    fn rollback_batch(&mut self, saved: TransactionSet, touched: &[TxnId]) -> AllocError {
-        self.txns = Cow::Owned(saved);
-        self.specs
-            .retain(|s| !touched.iter().any(|&id| spec_mentions(s, id)));
-        AllocError::Timeout
+    /// Reverts a failed step's membership changes (`undo` holds the
+    /// inverse events, oldest first) and passes its error through. The
+    /// cached optimum was never updated, so it matches the restored set.
+    fn rollback(&mut self, undo: Vec<DeltaEvent>, err: AllocError) -> AllocError {
+        let set = self.txns.to_mut();
+        for ev in undo.into_iter().rev() {
+            match ev {
+                DeltaEvent::Add(txn) => set
+                    .insert(txn)
+                    .expect("re-inserting a transaction this step removed"),
+                DeltaEvent::Remove(id) => {
+                    set.remove(id);
+                }
+            }
+        }
+        err
     }
 
-    /// Installs a sharded delta result: builds the stats, diffs against
-    /// the pre-mutation optimum, and updates the cached optimum.
-    fn accept_delta(
+    /// Solves the current set over the configured menu through the
+    /// component solver and the allocator's component caches, warm from
+    /// `warm` when given.
+    fn solve(
         &mut self,
-        prev: &Allocation,
-        alloc: Allocation,
-        start: Instant,
-        s: ShardStats,
-    ) -> Realloc {
-        let stats = s.engine_stats(self.threads, self.specs.len() as u64, start);
-        let changed = prev.diff(&alloc);
-        self.last = Some(alloc.clone());
-        self.last_stats = Some(stats.clone());
-        Realloc {
-            allocation: alloc,
-            changed,
+        warm: Option<Warm<'_>>,
+        deadline: Option<Instant>,
+        stats: &mut ShardStats,
+    ) -> Result<Allocation, AllocError> {
+        let job = Solve {
+            txns: self.txns.as_ref(),
+            levels: self.levels,
+            threads: self.threads,
+            deadline,
+            warm,
+        };
+        shard_optimal(
+            &job,
+            &mut self.comp_cache,
+            self.shared_cache.as_deref(),
             stats,
-        }
+        )
     }
 
     /// Computes the optimum of the current set from scratch into the
     /// delta cache. Only [`LevelSet::RcSi`] can fail to allocate; a
     /// passed deadline can expire (the cache is then left unfilled).
     fn ensure_current(&mut self, deadline: Option<Instant>) -> Result<(), AllocError> {
-        if self.last.is_some() {
-            return Ok(());
-        }
-        let start = Instant::now();
-        if self.components {
+        if self.last.is_none() {
+            let start = Instant::now();
             let mut s = ShardStats::default();
-            match shard_optimal(
-                self.txns.as_ref(),
-                self.levels,
-                self.threads,
-                deadline,
-                &mut self.comp_cache,
-                self.shared_cache.as_deref(),
-                &mut s,
-            ) {
-                Ok(ShardOutcome::Solved(alloc)) => {
-                    self.last_stats =
-                        Some(s.engine_stats(self.threads, self.specs.len() as u64, start));
-                    self.last = Some(alloc);
-                    return Ok(());
-                }
-                Ok(ShardOutcome::Unallocatable) => {
-                    return Err(AllocError::NotAllocatable(self.levels));
-                }
-                Err(Expired) => return Err(AllocError::Timeout),
-                Ok(ShardOutcome::Skip) => {}
-            }
+            let alloc = self.solve(None, deadline, &mut s)?;
+            self.last_stats = Some(s.engine_stats(self.threads, start));
+            self.last = Some(alloc);
         }
-        let rc_si = self.levels == LevelSet::RcSi;
-        let ceiling = self.levels.ceiling();
-        let (outcome, csnap) = {
-            let txns: &TransactionSet = &self.txns;
-            let checker = RobustnessChecker::new(txns)
-                .with_threads(self.threads)
-                .with_components(self.components);
-            let mut hits = 0u64;
-            let uniform = Allocation::uniform(txns, ceiling);
-            let outcome = if expired(deadline) {
-                Err(Expired)
-            } else {
-                // The SSI ceiling is robust unconditionally; the SI
-                // ceiling must be probed (Proposition 5.4).
-                let robust =
-                    !rc_si || probe_cached(txns, &checker, &mut self.specs, &uniform, &mut hits);
-                if robust {
-                    refine_with(
-                        txns,
-                        &checker,
-                        &mut self.specs,
-                        uniform,
-                        None,
-                        deadline,
-                        &mut |_, _, _| {},
-                    )
-                    .map(|(alloc, h)| Some((alloc, hits + h)))
-                } else {
-                    Ok(None)
-                }
-            };
-            (outcome, snap(&checker))
-        };
-        trim_specs(&mut self.specs);
-        match outcome {
-            Ok(Some((alloc, hits))) => {
-                self.last_stats = Some(EngineStats {
-                    probes: csnap.probes,
-                    cache_hits: hits,
-                    cached_specs: self.specs.len() as u64,
-                    iso_builds: csnap.iso_builds,
-                    components_checked: csnap.components_checked,
-                    components_cached: csnap.components_cached,
-                    kernel_row_ops: csnap.kernel_row_ops,
-                    batch_events: 0,
-                    batched_components_solved: 0,
-                    threads: self.threads,
-                    wall: start.elapsed(),
-                });
-                self.last = Some(alloc);
-                Ok(())
-            }
-            Ok(None) => Err(AllocError::NotAllocatable(self.levels)),
-            Err(Expired) => Err(AllocError::Timeout),
-        }
+        Ok(())
     }
 }
 
@@ -1307,6 +839,10 @@ struct ShardStats {
     /// Components answered from the fingerprint cache without any work.
     cached: u64,
     probes: u64,
+    /// Lowerings rejected by a solve's counterexample cache.
+    hits: u64,
+    /// Counterexamples the solves' caches held when they finished.
+    specs: u64,
     iso_builds: u64,
     row_ops: u64,
 }
@@ -1315,15 +851,17 @@ impl ShardStats {
     fn absorb(&mut self, s: &CompSolved) {
         self.checked += 1;
         self.probes += s.probes;
+        self.hits += s.hits;
+        self.specs += s.specs;
         self.iso_builds += s.iso_builds;
         self.row_ops += s.row_ops;
     }
 
-    fn engine_stats(&self, threads: usize, cached_specs: u64, start: Instant) -> EngineStats {
+    fn engine_stats(&self, threads: usize, start: Instant) -> EngineStats {
         EngineStats {
             probes: self.probes,
-            cache_hits: 0,
-            cached_specs,
+            cache_hits: self.hits,
+            cached_specs: self.specs,
             iso_builds: self.iso_builds,
             components_checked: self.checked,
             components_cached: self.cached,
@@ -1336,23 +874,33 @@ impl ShardStats {
     }
 }
 
-/// What [`shard_optimal`] decided.
-enum ShardOutcome {
-    /// Fewer than two components (or fewer than two transactions) —
-    /// sharding buys nothing; the caller runs the unsharded path.
-    Skip,
-    /// The union of the per-component optima: the global optimum, by
-    /// component locality of split schedules and Proposition 4.2.
-    Solved(Allocation),
-    /// Some component has no robust allocation over the menu (only
-    /// possible for [`LevelSet::RcSi`], Proposition 5.4).
-    Unallocatable,
+/// What one sharded solve runs against.
+struct Solve<'a> {
+    txns: &'a TransactionSet,
+    levels: LevelSet,
+    threads: usize,
+    deadline: Option<Instant>,
+    /// The warm start of a delta solve; `None` solves cold.
+    warm: Option<Warm<'a>>,
+}
+
+/// A delta solve's starting point: the optimum before the mutation and
+/// which way the membership moved since.
+#[derive(Clone, Copy)]
+struct Warm<'a> {
+    prev: &'a Allocation,
+    /// Some transaction was added since `prev`.
+    added: bool,
+    /// Some transaction was removed since `prev`.
+    removed: bool,
 }
 
 /// One component solved from scratch, with the work it cost.
 struct CompSolved {
     entry: CompEntry,
     probes: u64,
+    hits: u64,
+    specs: u64,
     iso_builds: u64,
     row_ops: u64,
 }
@@ -1363,46 +911,90 @@ struct CompSolved {
 /// robustness verdicts — and by uniqueness (Proposition 4.2) the
 /// component's optimum — are those of the full workload restricted to
 /// the component.
+///
+/// A delta solve starts from the previous optimum restricted to the
+/// component, newcomers at the ceiling. Without an add that start is a
+/// restriction of a robust allocation to a subset of its set, hence
+/// robust; after an add it is probed and, when not robust, replaced by
+/// the uniform ceiling. Without a removal the previous levels (newcomers
+/// at RC) are a floor: adds only raise levels (Proposition 4.1).
 fn solve_component(
-    txns: &TransactionSet,
+    job: &Solve<'_>,
     members: &[usize],
-    levels: LevelSet,
     threads: usize,
-    deadline: Option<Instant>,
 ) -> Result<CompSolved, Expired> {
-    let sub: Vec<Transaction> = members.iter().map(|&i| txns.by_index(i).clone()).collect();
+    let sub: Vec<Transaction> = members
+        .iter()
+        .map(|&i| job.txns.by_index(i).clone())
+        .collect();
     let sub = TransactionSet::new(sub).expect("component members have distinct ids");
     let checker = RobustnessChecker::new(&sub)
         .with_threads(threads)
         .with_components(false);
-    if expired(deadline) {
+    if expired(job.deadline) {
         return Err(Expired);
     }
-    let done = |checker: &RobustnessChecker<'_>, entry: CompEntry| CompSolved {
-        entry,
-        probes: checker.stats().probes(),
-        iso_builds: checker.stats().iso_builds(),
-        row_ops: checker.stats().kernel_row_ops(),
-    };
-    let uniform = Allocation::uniform(&sub, levels.ceiling());
-    if levels == LevelSet::RcSi && checker.find_counterexample(&uniform).is_some() {
-        return Ok(done(&checker, CompEntry::Unallocatable));
+    // A counterexample cache local to this component: its specs mention
+    // only the component's transactions, which the candidates cover.
+    let mut specs: Vec<SplitSpec> = Vec::new();
+    let robust =
+        |alloc: &Allocation, specs: &mut Vec<SplitSpec>| match checker.find_counterexample(alloc) {
+            None => true,
+            Some(spec) => {
+                specs.push(spec);
+                false
+            }
+        };
+    let ceiling = job.levels.ceiling();
+    let (mut start, mut floor) = (None, None);
+    if let Some(w) = job.warm {
+        // Survivors keep their previous level; newcomers get `entry`.
+        let with_prev =
+            |entry| Allocation::from_pairs(sub.ids().map(|t| (t, w.prev.get(t).unwrap_or(entry))));
+        if !w.removed {
+            floor = Some(with_prev(IsolationLevel::RC));
+        }
+        let warm = with_prev(ceiling);
+        if !w.added || robust(&warm, &mut specs) {
+            start = Some(warm);
+        }
     }
-    // A fresh spec cache, never the caller's: cached global specs may
-    // mention transactions outside this component, and
-    // `SplitSpec::check` would reject (or panic on) them against the
-    // component-local candidate allocations.
-    let mut local_specs = Vec::new();
-    let (alloc, _hits) = refine_with(
+    let start = match start {
+        Some(warm) => warm,
+        None => {
+            // The uniform ceiling: always robust over {RC, SI, SSI}, but
+            // probed over {RC, SI}, where it may fail (Proposition 5.4).
+            let uniform = Allocation::uniform(&sub, ceiling);
+            if job.levels == LevelSet::RcSi && !robust(&uniform, &mut specs) {
+                let n_specs = specs.len() as u64;
+                return Ok(solved(&checker, CompEntry::Unallocatable, 0, n_specs));
+            }
+            uniform
+        }
+    };
+    let (alloc, hits) = refine_with(
         &sub,
         &checker,
-        &mut local_specs,
-        uniform,
-        None,
-        deadline,
+        &mut specs,
+        start,
+        floor.as_ref(),
+        job.deadline,
         &mut |_, _, _| {},
     )?;
-    Ok(done(&checker, CompEntry::Robust(alloc.iter().collect())))
+    let entry = CompEntry::Robust(alloc.iter().collect());
+    Ok(solved(&checker, entry, hits, specs.len() as u64))
+}
+
+/// A [`CompSolved`] carrying `checker`'s work counters.
+fn solved(checker: &RobustnessChecker<'_>, entry: CompEntry, hits: u64, specs: u64) -> CompSolved {
+    CompSolved {
+        entry,
+        probes: checker.stats().probes(),
+        hits,
+        specs,
+        iso_builds: checker.stats().iso_builds(),
+        row_ops: checker.stats().kernel_row_ops(),
+    }
 }
 
 /// The component-sharded Algorithm 2: decomposes the workload into
@@ -1413,26 +1005,23 @@ fn solve_component(
 /// optima. Completed components are cached — locally and into `shared`
 /// — even when the deadline expires mid-run, so a retry pays only for
 /// what is still missing.
+///
+/// Fails with [`AllocError::NotAllocatable`] when some component has no
+/// robust allocation over the menu (only possible for
+/// [`LevelSet::RcSi`], Proposition 5.4), and with
+/// [`AllocError::Timeout`] when the deadline expires.
 fn shard_optimal(
-    txns: &TransactionSet,
-    levels: LevelSet,
-    threads: usize,
-    deadline: Option<Instant>,
+    job: &Solve<'_>,
     cache: &mut CompCache,
     shared: Option<&SharedCompCache>,
     stats: &mut ShardStats,
-) -> Result<ShardOutcome, Expired> {
-    if txns.len() < 2 {
-        return Ok(ShardOutcome::Skip);
+) -> Result<Allocation, AllocError> {
+    if expired(job.deadline) {
+        return Err(AllocError::Timeout);
     }
+    let (txns, levels) = (job.txns, job.levels);
     let index = ConflictIndex::new(txns);
     let comps = Components::new(txns, &index);
-    if comps.count() <= 1 {
-        return Ok(ShardOutcome::Skip);
-    }
-    if expired(deadline) {
-        return Err(Expired);
-    }
     let mut pairs: Vec<(TxnId, IsolationLevel)> = Vec::with_capacity(txns.len());
     let mut misses: Vec<usize> = Vec::new();
     let mut unallocatable = false;
@@ -1471,23 +1060,20 @@ fn shard_optimal(
         }
     }
     if unallocatable {
-        return Ok(ShardOutcome::Unallocatable);
-    }
-    if misses.is_empty() {
-        return Ok(ShardOutcome::Solved(Allocation::from_pairs(pairs)));
+        return Err(AllocError::NotAllocatable(levels));
     }
     // Largest components first: they dominate the critical path when the
     // misses are solved in parallel.
     misses.sort_by_key(|&c| (std::cmp::Reverse(comps.members(c).len()), c));
-    let workers = threads.min(misses.len()).max(1);
+    let workers = job.threads.min(misses.len()).max(1);
     let (mut solved, hit_deadline): (Vec<(usize, CompSolved)>, bool) = if workers == 1 {
         // One worker: a lone miss gets the full thread budget for its
         // inner T₁ search; otherwise run the misses one by one.
-        let sub_threads = if misses.len() == 1 { threads } else { 1 };
+        let sub_threads = if misses.len() == 1 { job.threads } else { 1 };
         let mut acc = Vec::with_capacity(misses.len());
         let mut expired_flag = false;
         for &c in &misses {
-            match solve_component(txns, comps.members(c), levels, sub_threads, deadline) {
+            match solve_component(job, comps.members(c), sub_threads) {
                 Ok(s) => acc.push((c, s)),
                 Err(Expired) => {
                     expired_flag = true;
@@ -1508,7 +1094,7 @@ fn shard_optimal(
                     }
                     let k = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&c) = misses.get(k) else { break };
-                    match solve_component(txns, comps.members(c), levels, 1, deadline) {
+                    match solve_component(job, comps.members(c), 1) {
                         Ok(s) => results.lock().unwrap().push((c, s)),
                         Err(Expired) => {
                             stop.store(true, Ordering::Relaxed);
@@ -1533,7 +1119,7 @@ fn shard_optimal(
         stats.absorb(s);
     }
     if hit_deadline {
-        return Err(Expired);
+        return Err(AllocError::Timeout);
     }
     for (_, s) in &solved {
         match &s.entry {
@@ -1542,29 +1128,9 @@ fn shard_optimal(
         }
     }
     if unallocatable {
-        return Ok(ShardOutcome::Unallocatable);
+        return Err(AllocError::NotAllocatable(levels));
     }
-    Ok(ShardOutcome::Solved(Allocation::from_pairs(pairs)))
-}
-
-/// Work counters read off a [`RobustnessChecker`] after a run (the
-/// checker is dropped inside the borrow scope; this outlives it).
-struct CheckerSnap {
-    probes: u64,
-    iso_builds: u64,
-    components_checked: u64,
-    components_cached: u64,
-    kernel_row_ops: u64,
-}
-
-fn snap(checker: &RobustnessChecker<'_>) -> CheckerSnap {
-    CheckerSnap {
-        probes: checker.stats().probes(),
-        iso_builds: checker.stats().iso_builds(),
-        components_checked: checker.stats().components_checked(),
-        components_cached: checker.stats().components_cached(),
-        kernel_row_ops: checker.stats().kernel_row_ops(),
-    }
+    Ok(Allocation::from_pairs(pairs))
 }
 
 /// Marker: a refinement deadline expired mid-loop.
@@ -1573,43 +1139,6 @@ struct Expired;
 /// Has `deadline` passed? `None` never expires.
 fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
-}
-
-/// Does `spec` reference transaction `id` (as the split transaction or
-/// anywhere in its chain)? Such specs dangle once `id` is removed.
-fn spec_mentions(spec: &SplitSpec, id: TxnId) -> bool {
-    spec.t1 == id || spec.chain.contains(&id)
-}
-
-/// Evicts the oldest cached counterexamples past [`SPEC_CACHE_CAP`].
-fn trim_specs(specs: &mut Vec<SplitSpec>) {
-    if specs.len() > SPEC_CACHE_CAP {
-        let excess = specs.len() - SPEC_CACHE_CAP;
-        specs.drain(..excess);
-    }
-}
-
-/// Is `alloc` robust? Consults the persistent counterexample cache first
-/// (a cached spec that re-validates is a certificate of non-robustness);
-/// on a miss runs a full probe and caches any fresh counterexample.
-fn probe_cached(
-    txns: &TransactionSet,
-    checker: &RobustnessChecker<'_>,
-    specs: &mut Vec<SplitSpec>,
-    alloc: &Allocation,
-    hits: &mut u64,
-) -> bool {
-    if specs.iter().any(|s| s.check(txns, alloc).is_ok()) {
-        *hits += 1;
-        return false;
-    }
-    match checker.find_counterexample(alloc) {
-        None => true,
-        Some(spec) => {
-            specs.push(spec);
-            false
-        }
-    }
 }
 
 #[derive(Default)]
@@ -1646,11 +1175,12 @@ fn refine_cached(
 }
 
 /// [`refine_cached`] against a caller-owned counterexample cache — the
-/// form the delta API uses to persist specs across reallocations.
-/// Returns the refined allocation and the number of cache hits, or
-/// [`Expired`] when `deadline` passes between lowering attempts (callers
-/// then roll back the mutation; the partially-refined allocation is
-/// discarded because only a *completed* refinement is the optimum).
+/// form a component solve uses, so the specs of its start probes serve
+/// the refinement too. Returns the refined allocation and the number of
+/// cache hits, or [`Expired`] when `deadline` passes between lowering
+/// attempts (callers then roll back the mutation; the partially-refined
+/// allocation is discarded because only a *completed* refinement is the
+/// optimum).
 fn refine_with(
     txns: &TransactionSet,
     checker: &RobustnessChecker<'_>,
@@ -2173,27 +1703,6 @@ mod tests {
     }
 
     #[test]
-    fn no_components_escape_hatch_delta() {
-        // The unsharded delta path still computes identical optima.
-        let mut sharded = Allocator::from_owned(TransactionSet::default());
-        let mut unsharded = Allocator::from_owned(TransactionSet::default()).with_components(false);
-        for t in clustered().iter() {
-            let a = sharded.add_txn(t.clone()).unwrap();
-            let b = unsharded.add_txn(t.clone()).unwrap();
-            assert_eq!(a.allocation, b.allocation);
-            assert_eq!(a.changed, b.changed);
-        }
-        for id in [TxnId(2), TxnId(3)] {
-            let a = sharded.remove_txn(id).unwrap();
-            let b = unsharded.remove_txn(id).unwrap();
-            assert_eq!(a.allocation, b.allocation);
-            assert_eq!(a.changed, b.changed);
-        }
-        assert!(!unsharded.components_enabled());
-        assert!(sharded.components_enabled());
-    }
-
-    #[test]
     fn with_levels_clears_component_cache() {
         let mut alloc = Allocator::from_owned(TransactionSet::default());
         for t in clustered().iter() {
@@ -2206,13 +1715,71 @@ mod tests {
         // *for a menu*); the {RC, SI} optimum is recomputed, not served
         // from the {RC, SI, SSI} cache.
         let mut alloc = alloc.with_levels(LevelSet::RcSi);
+        assert!(
+            alloc.last_stats().is_none(),
+            "the old menu's stats are gone"
+        );
         let a = alloc.current().unwrap().clone();
         let (expect, _) = Allocator::new(alloc.txns())
             .with_components(false)
             .optimal_rc_si();
         assert_eq!(Some(a), expect);
+        // The stats are those of the recomputation: the lost-update pair
+        // solved afresh and the singleton resolved, nothing cached.
         let stats = alloc.last_stats().unwrap();
+        assert_eq!(stats.components_checked, 2, "{stats}");
         assert_eq!(stats.components_cached, 0, "{stats}");
+    }
+
+    #[test]
+    fn with_levels_drops_the_stale_optimum() {
+        let mut alloc = Allocator::from_owned(TransactionSet::default());
+        let t1 = skew_txn(alloc.txns.to_mut(), 1, "x", "y");
+        let t2 = skew_txn(alloc.txns.to_mut(), 2, "y", "x");
+        alloc.add_txn(t1).unwrap();
+        alloc.add_txn(t2).unwrap();
+        assert_eq!(alloc.current().unwrap().to_string(), "T1=SSI T2=SSI");
+        // Write skew has no {RC, SI} allocation: the narrowed allocator
+        // must say so, not keep serving the {RC, SI, SSI} optimum.
+        let mut alloc = alloc.with_levels(LevelSet::RcSi);
+        assert_eq!(
+            alloc.current().unwrap_err(),
+            AllocError::NotAllocatable(LevelSet::RcSi)
+        );
+        assert_eq!(
+            Allocator::from_owned(alloc.txns().clone())
+                .with_levels(LevelSet::RcSi)
+                .current()
+                .unwrap_err(),
+            AllocError::NotAllocatable(LevelSet::RcSi)
+        );
+        // Widening the menu again recomputes the full-ladder optimum.
+        let mut alloc = alloc.with_levels(LevelSet::RcSiSsi);
+        assert_eq!(alloc.current().unwrap().to_string(), "T1=SSI T2=SSI");
+    }
+
+    #[test]
+    fn single_component_add_starts_from_the_old_optimum() {
+        let mut alloc = Allocator::from_owned(TransactionSet::default());
+        let t1 = skew_txn(alloc.txns.to_mut(), 1, "x", "y");
+        let t2 = skew_txn(alloc.txns.to_mut(), 2, "y", "x");
+        alloc.add_txn(t1).unwrap();
+        alloc.add_txn(t2).unwrap();
+        // T3 reads x, which T2 writes: the set stays one component. The
+        // old optimum (T1, T2 at SSI) is a floor, so only T3's lowerings
+        // are tried, after one probe of the warm start.
+        let t3 = skew_txn(alloc.txns.to_mut(), 3, "x", "z");
+        let r = alloc.add_txn(t3).unwrap();
+        let (expect, _) = Allocator::new(alloc.txns())
+            .with_components(false)
+            .optimal();
+        assert_eq!(r.allocation, expect);
+        assert_eq!(r.stats.components_checked, 1, "{}", r.stats);
+        let attempts = r.stats.probes + r.stats.cache_hits;
+        assert!(attempts <= 3 + dbg_probe_overhead(), "{}", r.stats);
+        // A removal starts from the restricted old optimum unprobed.
+        let r = alloc.remove_txn(TxnId(3)).unwrap();
+        assert_eq!(r.allocation.to_string(), "T1=SSI T2=SSI");
     }
 
     #[test]

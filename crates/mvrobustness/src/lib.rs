@@ -33,8 +33,9 @@
 //! [`SearchStats`] / [`EngineStats`]. An [`Allocator`] built with
 //! [`Allocator::from_owned`] additionally maintains the optimum *online*
 //! as transactions register and deregister ([`Allocator::add_txn`] /
-//! [`Allocator::remove_txn`]), reusing cached counterexamples across
-//! reallocations — the substrate of the `mvservice` daemon.
+//! [`Allocator::remove_txn`]), re-solving only the conflict components a
+//! change touches, warm from the previous optimum — the substrate of the
+//! `mvservice` daemon.
 
 pub mod algorithm1;
 pub mod allocate;

@@ -24,7 +24,8 @@ pub struct EngineStats {
     /// counterexample (`SplitSpec::check`) — each one is a probe that
     /// never ran.
     pub cache_hits: u64,
-    /// Distinct counterexamples held by the cache at the end of the run.
+    /// Distinct counterexamples held by the cache at the end of the run
+    /// (summed over the component solves of a sharded run).
     pub cached_specs: u64,
     /// `IsoReach` structures built; without the per-`T₁` cache this
     /// would be ~`probes × |T|` on conflict-heavy workloads.

@@ -9,19 +9,33 @@
 //! - after every batch the maintained optimum equals a fresh monolithic
 //!   recomputation of the current set, and the reported `changed` list
 //!   is exactly the diff of the pre-batch and post-batch optima;
-//! - results are identical at every thread count and with component
-//!   sharding on or off, over both level menus;
+//! - results are identical at every thread count, over both level
+//!   menus;
 //! - a deadline that expires mid-batch rolls the *whole* batch back:
 //!   the pre-batch set and optimum keep being served (the registry's
 //!   last-known-good degradation story), and re-applying the same
 //!   batch without the fault converges to the true optimum.
+//!
+//! `DELTA_SEED=<u64>` replaces every test's pinned seeds; a failing
+//! seed prints a `repro:` line with the command that replays it.
+
+mod seeds;
 
 use mvisolation::Allocation;
 use mvmodel::{Op, Transaction, TransactionSet, TxnId};
 use mvrobustness::{AllocError, Allocator, DeltaEvent, LevelSet};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use seeds::{seeds, Repro};
 use std::time::Instant;
+
+/// Guards one seed's run: a panic prints the command that replays it.
+fn repro(seed: u64) -> Repro {
+    Repro {
+        seed,
+        suite: "batch_equivalence",
+    }
+}
 
 /// A random transaction of 1..=4 distinct operations over `n_objects`
 /// shared objects (raw ids — conflicts derive from ids, names are
@@ -124,7 +138,7 @@ fn sequential_baseline(
     (verdicts, last)
 }
 
-fn check_equivalence(seed: u64, levels: LevelSet, threads: usize, components: bool) {
+fn check_equivalence(seed: u64, levels: LevelSet, threads: usize) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let events = random_events(&mut rng, 36);
     let (expected_verdicts, expected_final) = sequential_baseline(&events, levels);
@@ -140,8 +154,7 @@ fn check_equivalence(seed: u64, levels: LevelSet, threads: usize, components: bo
     );
     let mut alloc = Allocator::from_owned(TransactionSet::default())
         .with_levels(levels)
-        .with_threads(threads)
-        .with_components(components);
+        .with_threads(threads);
     let mut prev = alloc.current().expect("empty set is allocatable").clone();
     let mut verdicts = Vec::new();
     for (k, chunk) in chunks.into_iter().enumerate() {
@@ -181,23 +194,31 @@ fn check_equivalence(seed: u64, levels: LevelSet, threads: usize, components: bo
 
 #[test]
 fn batched_equals_sequential_rc_si_ssi() {
-    for seed in [0xBA7C80001u64, 0xBA7C80002, 0xBA7C80003] {
-        check_equivalence(seed, LevelSet::RcSiSsi, 1, true);
+    for seed in seeds(&[0xBA7C80001, 0xBA7C80002, 0xBA7C80003]) {
+        let _repro = repro(seed);
+        check_equivalence(seed, LevelSet::RcSiSsi, 1);
     }
 }
 
 #[test]
 fn batched_equals_sequential_rc_si() {
-    for seed in [0xBA7C80011u64, 0xBA7C80012] {
-        check_equivalence(seed, LevelSet::RcSi, 1, true);
+    for seed in seeds(&[0xBA7C80011, 0xBA7C80012]) {
+        let _repro = repro(seed);
+        check_equivalence(seed, LevelSet::RcSi, 1);
     }
 }
 
 #[test]
-fn batched_equivalence_across_threads_and_sharding() {
-    for &(threads, components) in &[(2usize, true), (4, true), (1, false), (4, false)] {
-        check_equivalence(0xBA7C80021, LevelSet::RcSiSsi, threads, components);
-        check_equivalence(0xBA7C80022, LevelSet::RcSi, threads, components);
+fn batched_equivalence_across_threads() {
+    for threads in [2, 4] {
+        for seed in seeds(&[0xBA7C80021]) {
+            let _repro = repro(seed);
+            check_equivalence(seed, LevelSet::RcSiSsi, threads);
+        }
+        for seed in seeds(&[0xBA7C80022]) {
+            let _repro = repro(seed);
+            check_equivalence(seed, LevelSet::RcSi, threads);
+        }
     }
 }
 

@@ -12,12 +12,32 @@
 //! - the reported `changed` list is exactly the diff of the previous and
 //!   new optimum;
 //! - the thread count of the delta allocator does not affect results.
+//!
+//! `DELTA_SEED=<u64>` replaces every test's pinned seeds; a failing
+//! seed prints a `repro:` line with the command that replays it.
+
+mod seeds;
 
 use mvisolation::Allocation;
 use mvmodel::{Op, Transaction, TransactionSet, TxnId};
-use mvrobustness::{AllocError, Allocator, LevelSet, Realloc};
+use mvrobustness::{AllocError, Allocator, Components, ConflictIndex, LevelSet, Realloc};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use seeds::{seeds, Repro};
+
+/// Guards one seed's run: a panic prints the command that replays it.
+fn repro(seed: u64) -> Repro {
+    Repro {
+        seed,
+        suite: "delta_equivalence",
+    }
+}
+
+/// Whether `txns` has at least two transactions, all in one conflict
+/// component — a set the component solver handles as a whole.
+fn one_component(txns: &TransactionSet) -> bool {
+    txns.len() >= 2 && Components::new(txns, &ConflictIndex::new(txns)).count() == 1
+}
 
 /// A random transaction of 1..=`max_ops` distinct operations over
 /// `n_objects` shared objects, interned against `set`.
@@ -92,6 +112,8 @@ fn run_sequence(seed: u64, levels: LevelSet, threads: usize) {
     let mut next_id = 1u32;
     let mut accepted = 0usize;
     let mut rejected = 0usize;
+    // Steps that left the whole set one conflict component.
+    let mut single = 0usize;
 
     for step in 0..40 {
         let add = present.len() < 12 && (present.is_empty() || rng.random_bool(0.65));
@@ -109,6 +131,7 @@ fn run_sequence(seed: u64, levels: LevelSet, threads: usize) {
                     prev = r.allocation;
                     present.push(id);
                     accepted += 1;
+                    single += one_component(alloc.txns()) as usize;
                 }
                 Err(AllocError::NotAllocatable(l)) => {
                     assert_eq!(l, levels);
@@ -134,9 +157,14 @@ fn run_sequence(seed: u64, levels: LevelSet, threads: usize) {
                 .expect("removal never fails");
             assert_delta_matches(&r, &prev, alloc.txns(), levels, step);
             prev = r.allocation;
+            single += one_component(alloc.txns()) as usize;
         }
     }
     assert!(accepted > 0, "seed {seed:#x}: no add ever accepted");
+    assert!(
+        single > 0,
+        "seed {seed:#x}: no step left the set one conflict component — tune the generator"
+    );
     if levels == LevelSet::RcSi {
         assert!(
             rejected > 0,
@@ -267,7 +295,8 @@ fn run_clustered_sequence(seed: u64, levels: LevelSet, threads: usize) -> Vec<St
 /// whole trace must be bit-identical at every thread count.
 #[test]
 fn clustered_delta_equals_full_recompute_across_threads() {
-    for seed in [0xDE17A0031u64, 0xDE17A0032] {
+    for seed in seeds(&[0xDE17A0031, 0xDE17A0032]) {
+        let _repro = repro(seed);
         let reference = run_clustered_sequence(seed, LevelSet::RcSiSsi, 1);
         for threads in [2, 4] {
             assert_eq!(
@@ -283,25 +312,36 @@ fn clustered_delta_equals_full_recompute_across_threads() {
 /// per-component Unallocatable detection path.
 #[test]
 fn clustered_delta_equals_full_recompute_rc_si() {
-    run_clustered_sequence(0xDE17A0041, LevelSet::RcSi, 1);
+    for seed in seeds(&[0xDE17A0041]) {
+        let _repro = repro(seed);
+        run_clustered_sequence(seed, LevelSet::RcSi, 1);
+    }
 }
 
 #[test]
 fn delta_equals_full_recompute_rc_si_ssi() {
-    for seed in [0xDE17A0001u64, 0xDE17A0002, 0xDE17A0003] {
+    for seed in seeds(&[0xDE17A0001, 0xDE17A0002, 0xDE17A0003]) {
+        let _repro = repro(seed);
         run_sequence(seed, LevelSet::RcSiSsi, 1);
     }
 }
 
 #[test]
 fn delta_equals_full_recompute_rc_si() {
-    for seed in [0xDE17A0011u64, 0xDE17A0012, 0xDE17A0013] {
+    for seed in seeds(&[0xDE17A0011, 0xDE17A0012, 0xDE17A0013]) {
+        let _repro = repro(seed);
         run_sequence(seed, LevelSet::RcSi, 1);
     }
 }
 
 #[test]
 fn delta_results_independent_of_thread_count() {
-    run_sequence(0xDE17A0021, LevelSet::RcSiSsi, 4);
-    run_sequence(0xDE17A0022, LevelSet::RcSi, 2);
+    for seed in seeds(&[0xDE17A0021]) {
+        let _repro = repro(seed);
+        run_sequence(seed, LevelSet::RcSiSsi, 4);
+    }
+    for seed in seeds(&[0xDE17A0022]) {
+        let _repro = repro(seed);
+        run_sequence(seed, LevelSet::RcSi, 2);
+    }
 }

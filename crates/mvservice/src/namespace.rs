@@ -49,9 +49,6 @@ pub struct RegistryTemplate {
     pub levels: LevelSet,
     pub threads: usize,
     pub realloc_timeout: Option<Duration>,
-    /// Component-sharded engine on/off (on in production; the shared
-    /// cache only attaches when on).
-    pub components: bool,
     /// Chaos seam, cloned into every tenant.
     pub faults: Option<Arc<dyn FaultHook>>,
 }
@@ -60,10 +57,7 @@ impl RegistryTemplate {
     fn build(&self, cache: &Arc<SharedCompCache>) -> Registry {
         let mut reg = Registry::new(self.levels, self.threads)
             .with_realloc_timeout(self.realloc_timeout)
-            .with_components(self.components);
-        if self.components {
-            reg = reg.with_shared_cache(Arc::clone(cache));
-        }
+            .with_shared_cache(Arc::clone(cache));
         if let Some(hook) = &self.faults {
             reg = reg.with_fault_hook(Arc::clone(hook));
         }
@@ -165,7 +159,6 @@ mod tests {
             levels: LevelSet::RcSiSsi,
             threads: 1,
             realloc_timeout: None,
-            components: true,
             faults: None,
         }
     }

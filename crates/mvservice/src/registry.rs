@@ -180,15 +180,6 @@ impl Registry {
         self
     }
 
-    /// Enables or disables the component-sharded engine (on by
-    /// default): deltas then recompute only the conflict components the
-    /// mutation touches and answer the rest from a fingerprint cache.
-    /// Optima are bit-identical either way.
-    pub fn with_components(mut self, on: bool) -> Self {
-        self.alloc = self.alloc.with_components(on);
-        self
-    }
-
     /// Installs a fault-injection hook (chaos testing). Production
     /// registries never call this.
     pub fn with_fault_hook(mut self, hook: Arc<dyn FaultHook>) -> Self {
@@ -638,10 +629,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_unsharded_registries_agree() {
+    fn registry_agrees_with_the_monolithic_engine() {
         // Two independent conflict clusters plus a singleton, grown and
-        // shrunk online: the component-sharded registry must serve the
-        // same optima as the monolithic one at every step.
+        // shrunk online: at every step the registry must serve the
+        // monolithic one-shot optimum of its live set and report exactly
+        // the levels that moved.
         let lines = [
             "T1: R[x] W[y]",
             "T2: R[y] W[x]",
@@ -649,21 +641,26 @@ mod tests {
             "T4: R[z] W[z]",
             "T5: R[w]",
         ];
-        let mut sharded = Registry::new(LevelSet::RcSiSsi, 1);
-        let mut mono = Registry::new(LevelSet::RcSiSsi, 1).with_components(false);
-        for line in lines {
-            let a = sharded.register(line).unwrap();
-            let b = mono.register(line).unwrap();
-            assert_eq!(a.allocation, b.allocation, "{line}");
-            assert_eq!(a.changed, b.changed, "{line}");
+        let mono = |live: &[&str]| {
+            let set = mvmodel::parse_transactions(&live.join("\n")).unwrap();
+            Allocator::new(&set).with_components(false).optimal().0
+        };
+        let mut reg = Registry::new(LevelSet::RcSiSsi, 1);
+        let mut prev = Allocation::from_pairs(std::iter::empty());
+        for k in 1..=lines.len() {
+            let r = reg.register(lines[k - 1]).unwrap();
+            let expect = mono(&lines[..k]);
+            assert_eq!(r.allocation, expect, "{}", lines[k - 1]);
+            assert_eq!(r.changed, prev.diff(&expect), "{}", lines[k - 1]);
+            prev = expect;
         }
         // Deregistering T4 touches only the z-cluster; the skew pair is
         // answered from the component cache without a single probe.
-        let a = sharded.deregister(TxnId(4)).unwrap();
-        let b = mono.deregister(TxnId(4)).unwrap();
-        assert_eq!(a.allocation, b.allocation);
-        assert!(a.stats.components_cached >= 1, "{}", a.stats);
-        assert_eq!(b.stats.components_cached, 0, "{}", b.stats);
+        let r = reg.deregister(TxnId(4)).unwrap();
+        let expect = mono(&[lines[0], lines[1], lines[2], lines[4]]);
+        assert_eq!(r.allocation, expect);
+        assert_eq!(r.changed, prev.diff(&expect));
+        assert!(r.stats.components_cached >= 1, "{}", r.stats);
     }
 
     #[test]

@@ -84,9 +84,6 @@ pub struct Config {
     pub realloc_timeout: Option<Duration>,
     /// Deterministic fault-injection schedule (`None` = no injection).
     pub faults: Option<FaultPlan>,
-    /// Component-sharded reallocation (`false` = monolithic engine;
-    /// optima are identical either way).
-    pub components: bool,
     /// Group-commit coalescing: the most mutating requests one
     /// dispatcher drain may apply as a single engine batch. The default
     /// `1` disables the coalescing queue entirely — mutations run
@@ -120,7 +117,6 @@ impl Default for Config {
             request_timeout: Duration::from_secs(10),
             realloc_timeout: None,
             faults: None,
-            components: true,
             batch_max: 1,
             batch_delay: Duration::from_micros(100),
             codec: CodecAccept::default(),
@@ -393,7 +389,6 @@ impl Server {
             levels: config.levels,
             threads: config.threads,
             realloc_timeout: config.realloc_timeout,
-            components: config.components,
             faults: None,
         });
         let mut replays = ReplayCache::new();
